@@ -412,7 +412,7 @@ def _encode_worker(encoder: BagEncoder, bags: Sequence[Bag], lo: int, hi: int, p
 
 
 def save_encoded_bags(path, bags: Sequence[EncodedBag]) -> None:
-    """Save a list of encoded bags to one compressed ``.npz`` file.
+    """Save a list of encoded bags to one ``.npz`` file.
 
     Bags have heterogeneous shapes (per-bag sentence counts and lengths), so
     each bag's arrays are stored under ``b<i>/<field>`` keys together with the

@@ -27,8 +27,9 @@ instead of re-padding object lists.  Two on-disk layouts persist a store:
   the same zero-copy view API, so training and serving touch only the pages
   a batch actually reads;
 * **format v2** (:meth:`save` to a ``*.npz`` path): the single-file columnar
-  npz, kept for compact archival artifacts.  Contrary to what this docstring
-  used to claim, an npz can NOT be memmapped — its members live inside a zip
+  npz, for artifacts that must travel as one file (the ingest version store
+  publishes its corpus this way).  Its members are stored uncompressed, but
+  an npz still can NOT be memmapped — its members live inside a zip
   container, which defeats ``np.load``'s ``mmap_mode`` — so ``load`` refuses
   ``mmap=True`` on npz files and points at the v3 shard layout instead.
 
@@ -43,7 +44,6 @@ produced them.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import shutil
@@ -55,6 +55,7 @@ import numpy as np
 
 from ..exceptions import DataError
 from ..utils.arrays import concat_ranges, gather_ragged, offsets_from_sizes
+from ..utils.serialization import sha256_file
 from .bags import EncodedBag
 
 #: Current on-disk format: the sharded directory layout (manifest.json plus
@@ -513,10 +514,11 @@ class CorpusStore:
     def save(self, path) -> None:
         """Write the store to disk; the layout follows from the path.
 
-        A ``*.npz`` path writes the single-file columnar npz (format v2, a
-        compact archival artifact that cannot be memmapped); any other path
-        becomes a format-v3 shard directory — raw per-column ``.npy`` shards
-        plus ``manifest.json`` — the layout ``load(mmap=True)`` requires.
+        A ``*.npz`` path writes the single-file columnar npz (format v2: one
+        uncompressed zip member per column, which cannot be memmapped); any
+        other path becomes a format-v3 shard directory — raw per-column
+        ``.npy`` shards plus ``manifest.json`` — the layout
+        ``load(mmap=True)`` requires.
         """
         path = Path(path)
         if path.suffix == ".npz":
@@ -569,7 +571,7 @@ class CorpusStore:
                     {
                         "file": file_name,
                         "rows": [row, row + int(data.shape[0])],
-                        "sha256": _file_sha256(file_path),
+                        "sha256": sha256_file(file_path),
                     }
                 )
                 row += int(data.shape[0])
@@ -684,14 +686,6 @@ def _shard_file_name(column: str, index: int) -> str:
     return f"{column}-{index:05d}.npy"
 
 
-def _file_sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for block in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(block)
-    return digest.hexdigest()
-
-
 def _write_manifest(path: Path, manifest: dict) -> None:
     """Write ``manifest.json`` atomically (rename), as the last step of a save."""
     tmp = path / (MANIFEST_NAME + f".tmp-{os.getpid()}")
@@ -740,7 +734,7 @@ def _load_column(
         if not file_path.is_file():
             raise DataError(f"column '{name}': missing shard file {file_name}")
         if verify_hashes:
-            digest = _file_sha256(file_path)
+            digest = sha256_file(file_path)
             expected = shard.get("sha256")
             if digest != expected:
                 raise DataError(
@@ -801,7 +795,7 @@ def _write_column_shard(directory: Path, name: str, array: np.ndarray) -> dict:
             {
                 "file": file_name,
                 "rows": [0, int(data.shape[0])],
-                "sha256": _file_sha256(file_path),
+                "sha256": sha256_file(file_path),
             }
         ],
     }

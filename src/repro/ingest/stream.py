@@ -43,6 +43,7 @@ recompute to ~1e-12 (float64 round-off through the softmax head).
 from __future__ import annotations
 
 import dataclasses
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence
@@ -81,6 +82,8 @@ class IngestReport:
     num_propagated_rows: int          # rows the incremental propagation recomputed
     max_count_changed: bool           # global weight renormalisation triggered
     version: Optional[int] = None     # published version id, if any
+    publish_seconds: float = 0.0      # wall time of the publish (0 when none)
+    published_bytes: int = 0          # size of the published version's members
 
     def as_dict(self) -> Dict[str, Any]:
         return dataclasses.asdict(self)
@@ -270,8 +273,13 @@ class StreamIngestor:
             self._refresh_model_table()
 
         version = None
+        publish_seconds = 0.0
+        published_bytes = 0
         if publish and self.version_store is not None:
-            version = self._publish(len(bags), report).version
+            start = time.perf_counter()
+            info = self._publish(len(bags), report)
+            publish_seconds = time.perf_counter() - start
+            version, published_bytes = info.version, info.member_bytes
             if self.config.keep_versions > 0:
                 self.version_store.prune(self.config.keep_versions)
 
@@ -284,7 +292,12 @@ class StreamIngestor:
             report.num_new_vertices,
             num_finetuned,
             num_propagated,
-            f", version {version}" if version is not None else "",
+            (
+                f", version {version} ({published_bytes} bytes in "
+                f"{publish_seconds * 1e3:.1f} ms)"
+                if version is not None
+                else ""
+            ),
         )
         return IngestReport(
             round_index=self._round,
@@ -297,6 +310,8 @@ class StreamIngestor:
             num_propagated_rows=num_propagated,
             max_count_changed=report.max_count_changed,
             version=version,
+            publish_seconds=publish_seconds,
+            published_bytes=published_bytes,
         )
 
     def _refresh_embeddings(self, report) -> "tuple[int, int]":

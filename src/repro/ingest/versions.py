@@ -20,7 +20,6 @@ locked against).  Readers are lock-free.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import shutil
@@ -30,6 +29,7 @@ from typing import Any, Callable, Dict, List, Optional, Union
 
 from ..exceptions import DataError
 from ..utils.logging import get_logger
+from ..utils.serialization import sha256_file
 
 logger = get_logger("ingest.versions")
 
@@ -47,14 +47,6 @@ MANIFEST_NAME = "manifest.json"
 #: Sub-path of the servable checkpoint inside a version directory (the
 #: serving daemon's watch loop reloads from here).
 CHECKPOINT_MEMBER = "checkpoint"
-
-
-def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
 
 
 def _version_dir_name(version: int) -> str:
@@ -78,6 +70,11 @@ class VersionInfo:
     def parent(self) -> Optional[int]:
         parent = self.manifest.get("parent")
         return int(parent) if parent is not None else None
+
+    @property
+    def member_bytes(self) -> int:
+        """Total size on disk of the manifested member files."""
+        return sum((self.path / member).stat().st_size for member in self.manifest["files"])
 
 
 class ArtifactVersionStore:
@@ -142,7 +139,7 @@ class ArtifactVersionStore:
             path = info.path / member
             if not path.exists():
                 raise DataError(f"version {info.version} is missing member {member}")
-            actual = _sha256(path)
+            actual = sha256_file(path)
             if actual != expected:
                 raise DataError(
                     f"version {info.version} member {member} hash mismatch "
@@ -176,7 +173,7 @@ class ArtifactVersionStore:
         try:
             write(staging)
             files = {
-                str(path.relative_to(staging)): _sha256(path)
+                str(path.relative_to(staging)): sha256_file(path)
                 for path in sorted(staging.rglob("*"))
                 if path.is_file()
             }

@@ -3,7 +3,7 @@
 from .arrays import factorize_names
 from .artifacts import ArtifactCache, CacheStats, content_key, default_cache_dir
 from .rng import SeedSequenceFactory, new_rng, spawn_rngs
-from .serialization import load_json, load_npz, save_json, save_npz
+from .serialization import load_json, load_npz, save_json, save_npz, sha256_file
 from .logging import get_logger
 from .tables import format_table
 
@@ -16,6 +16,7 @@ __all__ = [
     "load_npz",
     "save_json",
     "load_json",
+    "sha256_file",
     "get_logger",
     "format_table",
     "ArtifactCache",

@@ -24,6 +24,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import json
+import zipfile
 
 import numpy as np
 import pytest
@@ -44,6 +45,12 @@ from repro.graph.proximity import EntityProximityGraph
 from repro.ingest import ArtifactVersionStore, StreamIngestor, synthetic_delta_bags
 from repro.ingest.versions import CURRENT_POINTER, MANIFEST_NAME
 from repro.serve import PredictionRequest, PredictionService
+from repro.utils.checkpoint import (
+    ENCODER_FILE,
+    SCHEMA_FILE,
+    _encoder_payload,
+    _schema_payload,
+)
 
 # Every aggregation/encoder/head combination the factories can build
 # (mirrors tests/test_serve.py and tests/test_daemon.py).
@@ -572,7 +579,37 @@ class TestStreamIngestorRounds:
             assert report.corpus_bags == live["original_bags"] + BAGS_PER_ROUND * (index + 1)
             assert report.num_dirty_vertices > 0
             assert report.num_propagated_rows >= report.num_dirty_vertices
-            assert set(report.as_dict()) >= {"round_index", "version", "corpus_bags"}
+            assert set(report.as_dict()) >= {
+                "round_index", "version", "corpus_bags", "publish_seconds", "published_bytes",
+            }
+            assert report.publish_seconds > 0
+
+    def test_published_bytes_sum_the_manifest_members(self, live):
+        current = live["versions"].current()
+        members = current.manifest["files"]
+        assert "checkpoint/weights.npz" in members
+        assert live["reports"][-1].published_bytes == sum(
+            (current.path / member).stat().st_size for member in members
+        )
+
+    def test_published_members_use_the_uncompressed_compact_format(self, live):
+        """Pin the publish format: stored (not deflated) npz members and compact
+        checkpoint JSON that parses to the same payloads the indented files held."""
+        ingestor, current = live["ingestor"], live["versions"].current()
+        archives = [member for member in current.manifest["files"] if member.endswith(".npz")]
+        assert len(archives) == 5  # corpus, graph, embeddings, propagated, weights
+        for member in archives:
+            with zipfile.ZipFile(current.path / member) as archive:
+                kinds = {entry.compress_type for entry in archive.infolist()}
+            assert kinds == {zipfile.ZIP_STORED}, member
+        payloads = {
+            ENCODER_FILE: _encoder_payload(ingestor.encoder),
+            SCHEMA_FILE: _schema_payload(ingestor.schema, ingestor.kb),
+        }
+        for member, payload in payloads.items():
+            text = (current.checkpoint_path / member).read_text(encoding="utf-8")
+            assert text == json.dumps(payload, separators=(",", ":"))
+            assert json.loads(text) == payload
 
     def test_corpus_grew_with_prefix_preserved(self, live, nyt_context):
         store = live["ingestor"].store
@@ -705,6 +742,7 @@ class TestStreamIngestorRounds:
         # An unpublished round leaves the store alone too.
         silent = ingestor.ingest([], publish=False)
         assert silent.version is None
+        assert silent.publish_seconds == 0.0 and silent.published_bytes == 0
         assert versions.latest().version == report.version
 
 
