@@ -110,12 +110,11 @@ def test_daemon_closed_loop_throughput(nyt_ctx):
     occupancy = stats["batch_occupancy"]
     latency = stats["latency_seconds"]
 
-    # Same closed-loop load against a daemon pinned to the fast backend
-    # (float32 weights + per-worker workspace reuse): answers must agree
+    # Same closed-loop load against a float32 daemon: answers must agree
     # with the float64 daemon to 1e-5 / identical top-1, and the recorded
-    # rate shows what the dtype policy buys under concurrency.
+    # rate shows what float32 buys under concurrency.
     fast_service = PredictionService.from_context(
-        nyt_ctx, method.model, backend="fast"
+        nyt_ctx, method.model, dtype="float32"
     )
     fast_seconds = float("inf")
     with ServingDaemon(fast_service, config=config) as fast_daemon:
@@ -127,7 +126,7 @@ def test_daemon_closed_loop_throughput(nyt_ctx):
         assert (
             fast_result.top.relation_id == reference_result.top.relation_id
         )
-        assert fast_daemon.stats()["backend"]["serve_dtype"] == "float32"
+        assert fast_daemon.stats()["dtype"] == "float32"
         for _ in range(TIMING_REPEATS):
             fast_seconds = min(fast_seconds, closed_loop(fast_daemon))
     fast_rate = total_requests / fast_seconds
@@ -143,7 +142,7 @@ def test_daemon_closed_loop_throughput(nyt_ctx):
                 speedup,
             ],
             [
-                f"daemon, fast f32 backend ({NUM_CLIENTS} clients)",
+                f"daemon, float32 ({NUM_CLIENTS} clients)",
                 fast_rate,
                 fast_seconds,
                 sequential_seconds / fast_seconds,

@@ -7,11 +7,11 @@ Two claims measured:
   per-epoch throughput (bags/second) of the legacy per-bag loop on the
   synthetic NYT bundle, while producing the same batch losses to float64
   round-off.
-* Pinning the batched path to the ``fast`` backend (float32 graph, float64
-  master weights, pooled workspaces) must not be slower than the reference
-  batched path and targets >= 1.3x its throughput; the measured ratio is
-  recorded honestly alongside the machine's cpu count either way, and the
-  fast losses must match the reference within the documented tolerance
+* Running the batched path at ``dtype="float32"`` (float32 graph, float64
+  master weights) must not be slower than the float64 batched path and
+  targets >= 1.3x its throughput; the measured ratio is recorded honestly
+  alongside the machine's cpu count either way, and the float32 losses must
+  match the float64 ones within the documented tolerance
   (``docs/architecture.md``).
 
 Models are built fresh for every timed pass (training mutates parameters and
@@ -19,8 +19,7 @@ optimizer state), so the session-shared context fixtures are never mutated.
 
 Memory note: the per-bag baseline materialises the whole store as
 `EncodedBag` objects up front (see `Trainer.fit`); the batched paths slice
-the columnar store per mini-batch and allocate no new scratch after the
-first epoch.  The report footer's peak RSS is the pytest process's
+the columnar store per mini-batch.  The report footer's peak RSS is the pytest process's
 *lifetime* high-water mark — run this file standalone for a figure
 attributable to this benchmark alone.
 """
@@ -30,7 +29,6 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import replace
-from typing import Optional
 
 import numpy as np
 
@@ -41,22 +39,22 @@ from repro.utils.tables import format_table
 from conftest import SEED, write_report
 
 MIN_SPEEDUP = 3.0
-# Target for the fast backend over the reference batched path; the measured
-# ratio is recorded either way, but a fast path slower than reference would
-# be a regression.
+# Target for float32 over the float64 batched path; the measured ratio is
+# recorded either way, but a float32 path slower than float64 would be a
+# regression.
 TARGET_FAST_SPEEDUP = 1.3
 MIN_FAST_SPEEDUP = 0.95
 TIMING_REPEATS = 3
 
 
-def _fresh_trainer(ctx, batched: bool, backend: Optional[str] = None) -> Trainer:
+def _fresh_trainer(ctx, batched: bool, dtype: str = "float64") -> Trainer:
     """A newly initialised PA-TMR model wired into a one-epoch trainer."""
     config = replace(
         ctx.training_config,
         epochs=1,
         shuffle=False,
         batched_training=batched,
-        backend=backend,
+        dtype=dtype,
     )
     method = build_method(
         "pa_tmr",
@@ -75,12 +73,12 @@ def _best_epoch_seconds(
     ctx,
     batched: bool,
     workload,
-    backend: Optional[str] = None,
+    dtype: str = "float64",
     repeats: int = TIMING_REPEATS,
 ) -> float:
     best = float("inf")
     for _ in range(repeats):
-        trainer = _fresh_trainer(ctx, batched, backend)  # fresh model: untimed
+        trainer = _fresh_trainer(ctx, batched, dtype)  # fresh model: untimed
         start = time.perf_counter()
         trainer.fit(workload)
         best = min(best, time.perf_counter() - start)
@@ -96,9 +94,9 @@ def test_train_batched_vs_per_bag_throughput(benchmark, nyt_ctx):
     np.testing.assert_allclose(
         batched_result.batch_losses, per_bag_result.batch_losses, rtol=0, atol=1e-9
     )
-    # The fast backend trades bits for throughput: losses track the
-    # reference within the parity contract's tolerance, not to round-off.
-    fast_result = _fresh_trainer(nyt_ctx, batched=True, backend="fast").fit(workload)
+    # float32 trades bits for throughput: losses track float64 within the
+    # parity contract's tolerance, not to round-off.
+    fast_result = _fresh_trainer(nyt_ctx, batched=True, dtype="float32").fit(workload)
     np.testing.assert_allclose(
         fast_result.batch_losses, batched_result.batch_losses, rtol=0, atol=5e-3
     )
@@ -106,7 +104,7 @@ def test_train_batched_vs_per_bag_throughput(benchmark, nyt_ctx):
     per_bag_seconds = _best_epoch_seconds(nyt_ctx, batched=False, workload=workload)
     batched_seconds = _best_epoch_seconds(nyt_ctx, batched=True, workload=workload)
     fast_seconds = _best_epoch_seconds(
-        nyt_ctx, batched=True, workload=workload, backend="fast"
+        nyt_ctx, batched=True, workload=workload, dtype="float32"
     )
 
     num_bags = len(workload)
@@ -123,7 +121,7 @@ def test_train_batched_vs_per_bag_throughput(benchmark, nyt_ctx):
             ["per-bag loop", per_bag_rate, per_bag_seconds, 1.0],
             ["batched forward/backward", batched_rate, batched_seconds, speedup],
             [
-                "batched + fast backend (f32)",
+                "batched, float32",
                 fast_rate,
                 fast_seconds,
                 per_bag_seconds / fast_seconds,
@@ -133,7 +131,7 @@ def test_train_batched_vs_per_bag_throughput(benchmark, nyt_ctx):
         f"{nyt_ctx.dataset_name} (batch_size={batch_size})",
     )
     report += (
-        f"\nfast vs reference batched: {fast_speedup:.4f}x "
+        f"\nfloat32 vs float64 batched: {fast_speedup:.4f}x "
         f"(target >= {TARGET_FAST_SPEEDUP}x, cpus={os.cpu_count()})"
     )
     write_report("train_throughput", report)
@@ -143,7 +141,7 @@ def test_train_batched_vs_per_bag_throughput(benchmark, nyt_ctx):
         f"({batched_rate:.0f} vs {per_bag_rate:.0f} bags/s); required {MIN_SPEEDUP}x"
     )
     assert fast_speedup >= MIN_FAST_SPEEDUP, (
-        f"fast-backend training reached only {fast_speedup:.2f}x the reference "
+        f"float32 training reached only {fast_speedup:.2f}x the float64 "
         f"batched path ({fast_rate:.0f} vs {batched_rate:.0f} bags/s); it must "
         f"not regress below {MIN_FAST_SPEEDUP}x"
     )

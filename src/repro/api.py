@@ -119,7 +119,7 @@ class Session:
         self,
         method: str = "pa_tmr",
         dataset: str = "nyt",
-        backend: Optional[str] = None,
+        dtype: Optional[str] = None,
     ) -> Tuple[object, EvaluationResult]:
         """Train one method on the session context and evaluate it held-out.
 
@@ -127,18 +127,18 @@ class Session:
         and its :class:`EvaluationResult`; repeated calls reuse the context's
         per-method cache.
 
-        ``backend`` pins the training compute backend for this call (e.g.
-        ``"fast"`` for float32 activations with float64 master weights; see
-        ``docs/architecture.md``).  A pinned backend that differs from the
-        context's configured one bypasses the per-method cache — the cache is
-        keyed by method name only, and results trained under a different
-        dtype policy must not be conflated.
+        ``dtype`` sets the training compute dtype for this call (``"float32"``
+        runs float32 activations with float64 master weights; see
+        ``docs/architecture.md``); ``None`` keeps the context's configured
+        one.  A dtype that differs from the context's bypasses the
+        per-method cache — the cache is keyed by method name only, and
+        results trained at a different dtype must not be conflated.
         """
         context = self.context(dataset)
-        if backend is None or backend == context.training_config.backend:
+        if dtype is None or dtype == context.training_config.dtype:
             return train_and_evaluate(context, method)
         original = context.training_config
-        context.training_config = dataclasses.replace(original, backend=backend)
+        context.training_config = dataclasses.replace(original, dtype=dtype)
         try:
             return train_and_evaluate(context, method, use_cache=False)
         finally:
@@ -174,7 +174,7 @@ class Session:
         method_or_model,
         dataset: str = "nyt",
         batch_size: int = 32,
-        backend: Optional[str] = None,
+        dtype: str = "float64",
     ) -> PredictionService:
         """An in-process :class:`PredictionService` over a trained method/model.
 
@@ -182,9 +182,8 @@ class Session:
         method is trained through :meth:`train` first, reusing the context's
         per-method cache, so repeated calls do not retrain.
 
-        ``backend`` picks the compute backend (``"reference"``, ``"fast"``,
-        ...); it defaults to the profile's ``serve_backend``, and ``None``
-        keeps the ambient backend with unchanged float64 numerics.
+        ``dtype`` is the serving compute dtype (``"float64"`` or
+        ``"float32"``; see :class:`PredictionService`).
         """
         if isinstance(method_or_model, str):
             method_or_model = self.train(method_or_model, dataset=dataset)[0]
@@ -193,7 +192,7 @@ class Session:
             self.context(dataset),
             model,
             batch_size=batch_size,
-            backend=backend if backend is not None else self.profile.serve_backend,
+            dtype=dtype,
         )
 
     def ingestor(
@@ -242,7 +241,7 @@ class Session:
         dataset: str = "nyt",
         batch_size: int = 32,
         config: Optional[DaemonConfig] = None,
-        backend: Optional[str] = None,
+        dtype: str = "float64",
     ) -> ServingDaemon:
         """A :class:`ServingDaemon` over a trained method/model (not started).
 
@@ -255,13 +254,10 @@ class Session:
         ``with session.daemon(method) as daemon: daemon.predict(...)`` — or
         call :meth:`~repro.serve.ServingDaemon.start` /
         :meth:`~repro.serve.ServingDaemon.close` explicitly.  See
-        ``docs/daemon.md``.
+        ``docs/daemon.md``.  ``dtype`` is the serving compute dtype, as in
+        :meth:`service`.
         """
-        config = config or self.profile.daemon_config()
         service = self.service(
-            method_or_model,
-            dataset=dataset,
-            batch_size=batch_size,
-            backend=backend if backend is not None else config.backend,
+            method_or_model, dataset=dataset, batch_size=batch_size, dtype=dtype
         )
-        return ServingDaemon(service, config=config)
+        return ServingDaemon(service, config=config or self.profile.daemon_config())

@@ -7,15 +7,11 @@ head, confidence combination — with plain numpy on the model's parameters.
 The autograd-capable sibling used by training lives in
 :mod:`repro.batch.training`.
 
-All array work dispatches through a pluggable :class:`repro.nn.backend
-.ArrayBackend`: the ``reference`` backend reproduces the historical float64
-behaviour bit-for-bit (same ops, same order, fresh allocations), while the
-``fast`` backend runs the same kernels at the model's (float32-cast) dtype
-with scratch buffers pooled in a :class:`~repro.nn.backend.Workspace`.
-Whatever the compute dtype, the *final* reduction — the softmax over the
-combined logits — always runs in float64 and the returned probabilities are
-float64, which keeps the float32 path within ``1e-5`` of the reference with
-identical argmax labels (proven per variant by ``tests/test_backend.py``).
+Every op runs at the dtype of the model's parameters.  Whatever that dtype,
+the *final* reduction — the softmax over the combined logits — always runs
+in float64 and the returned probabilities are float64, which keeps a
+float32-cast model within ``1e-5`` of the float64 one with identical argmax
+labels (proven per variant by ``tests/test_serve.py``).
 
 Numerical parity with ``model.predict_probabilities`` per bag is guaranteed
 by construction (same ops, same dtype as the model's parameters) and
@@ -24,7 +20,7 @@ enforced by ``tests/test_serve.py``.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -33,7 +29,6 @@ from ..encoders.attention import AverageBagAggregator, SelectiveAttentionAggrega
 from ..encoders.cnn import CNNEncoder
 from ..encoders.pcnn import NUM_SEGMENTS, PCNNEncoder, _align_segments
 from ..exceptions import ModelError
-from ..nn.backend import ArrayBackend, Workspace, resolve_backend
 from ..nn.tensor import Tensor
 from .merging import (
     BagBatchLike,
@@ -48,8 +43,6 @@ from .merging import (
 def batched_predict_probabilities(
     model: NeuralREModel,
     bags: BagBatchLike,
-    backend: Union[None, str, ArrayBackend] = None,
-    workspace: Optional[Workspace] = None,
 ) -> np.ndarray:
     """Relation probability distributions for many bags in one pass.
 
@@ -57,31 +50,20 @@ def batched_predict_probabilities(
     :class:`~repro.corpus.store.CorpusStore` (or sub-store), or an already
     assembled :class:`MergedBagBatch`.  Returns a float64 array of shape
     ``(num_bags, num_relations)`` equal (up to floating-point round-off) to
-    stacking ``model.predict_probabilities(bag)`` over ``bags``.
-
-    ``backend`` selects the kernel implementation (``None`` resolves the
-    ambient backend — see :func:`repro.nn.backend.get_backend`); the compute
-    dtype always follows the model's parameters.  ``workspace`` supplies
-    reusable scratch buffers and is honoured only by backends with
-    ``reuse_workspace`` (the returned probabilities are never
-    workspace-backed).
+    stacking ``model.predict_probabilities(bag)`` over ``bags``.  The
+    compute dtype follows the model's parameters.
     """
-    backend = resolve_backend(backend)
-    if not backend.reuse_workspace:
-        workspace = None
     if len(bags) == 0:
         return np.zeros((0, model.num_relations))
     was_training = model.training
     if was_training:
         model.eval()
     try:
-        batch = as_merged_batch(bags, workspace=workspace)
-        reprs = _merged_sentence_representations(model, batch, backend, workspace)
-        re_logits = _batched_aggregator_logits(
-            model.base_model.aggregator, reprs, batch, backend, workspace
-        )
+        batch = as_merged_batch(bags)
+        reprs = _merged_sentence_representations(model, batch)
+        re_logits = _batched_aggregator_logits(model.base_model.aggregator, reprs, batch)
         type_logits = (
-            _batched_type_logits(model.type_head, batch, backend)
+            _batched_type_logits(model.type_head, batch)
             if model.type_head is not None
             else None
         )
@@ -100,26 +82,21 @@ def batched_predict_probabilities(
 def _final_probabilities(combined: np.ndarray) -> np.ndarray:
     """Float64 final reduction: softmax the combined logits at full precision.
 
-    A no-op cast on the reference path (logits are already float64, so the
-    result is bit-identical to the historical behaviour); on the float32 path
-    this is where precision is restored before the one reduction that
-    decides the returned probabilities.  Always returns a fresh float64
-    array — never a view into a workspace buffer.
+    A no-op cast for a float64 model; on the float32 path this is where
+    precision is restored before the one reduction that decides the
+    returned probabilities.
     """
     combined = np.asarray(combined, dtype=np.float64)
-    return _row_softmax(combined)
+    return _softmax(combined)
 
 
 def _merged_sentence_representations(
-    model: NeuralREModel,
-    batch: MergedBagBatch,
-    backend: ArrayBackend,
-    workspace: Optional[Workspace],
+    model: NeuralREModel, batch: MergedBagBatch
 ) -> np.ndarray:
     """Encode every sentence of the merged batch: ``(total_sentences, dim)``.
 
-    The embedding gather and the CNN/PCNN convolutions run through the
-    backend's kernels; recurrent encoders fall back to the autograd modules
+    The embedding gather and the CNN/PCNN convolutions run as gradient-free
+    numpy; recurrent encoders fall back to the autograd modules
     (their step loop is not a batched kernel), which preserve the compute
     dtype.  One correction keeps the outputs bitwise-faithful to per-bag
     encoding: a bag's arrays are only as wide as its own longest sentence,
@@ -129,25 +106,18 @@ def _merged_sentence_representations(
     columns beyond each bag's own width restores per-bag semantics.
     """
     base = model.base_model
-    embedded = _embed_merged(base.embedder, batch, backend, workspace)
+    embedded = _embed_merged(base.embedder, batch)
     widths = batch.bag_widths
     beyond_bag_width = np.arange(embedded.shape[1])[None, :] >= widths[:, None]
     embedded[beyond_bag_width] = 0.0
     if isinstance(base.encoder, PCNNEncoder):
-        return _pcnn_representations(base.encoder, embedded, batch, backend, workspace)
+        return _pcnn_representations(base.encoder, embedded, batch)
     if isinstance(base.encoder, CNNEncoder):
-        return _cnn_representations(
-            base.encoder, embedded, batch, widths, backend, workspace
-        )
+        return _cnn_representations(base.encoder, embedded, batch, widths)
     return base.encoder(Tensor(embedded), batch.merged).data
 
 
-def _embed_merged(
-    embedder,
-    batch: MergedBagBatch,
-    backend: ArrayBackend,
-    workspace: Optional[Workspace],
-) -> np.ndarray:
+def _embed_merged(embedder, batch: MergedBagBatch) -> np.ndarray:
     """Word + head/tail position embeddings of every merged sentence row.
 
     Writes the three gathers directly into the slices of one output buffer —
@@ -161,49 +131,63 @@ def _embed_merged(
     rows, length = merged.token_ids.shape
     word_dim = embedder.word_dim
     position_dim = embedder.position_dim
-    out = backend.scratch(
-        workspace,
-        "embed.out",
-        (rows, length, word_dim + 2 * position_dim),
-        word_table.dtype,
-    )
-    backend.gather_rows(word_table, merged.token_ids, out=out[:, :, :word_dim])
-    backend.gather_rows(
-        head_table,
-        merged.head_position_ids,
-        out=out[:, :, word_dim:word_dim + position_dim],
-    )
-    backend.gather_rows(
-        tail_table,
-        merged.tail_position_ids,
-        out=out[:, :, word_dim + position_dim:],
-    )
+    out = np.empty((rows, length, word_dim + 2 * position_dim), dtype=word_table.dtype)
+    out[:, :, :word_dim] = word_table[merged.token_ids]
+    out[:, :, word_dim:word_dim + position_dim] = head_table[merged.head_position_ids]
+    out[:, :, word_dim + position_dim:] = tail_table[merged.tail_position_ids]
     return out
 
 
-def _conv_forward(
-    conv,
-    x: np.ndarray,
-    backend: ArrayBackend,
-    workspace: Optional[Workspace],
-    key: str,
-) -> np.ndarray:
+def _conv_window_gather(padded: np.ndarray, window: int) -> np.ndarray:
+    """im2col: ``(batch, length, ch)`` -> ``(batch, length - window + 1, window * ch)``.
+
+    Column layout matches :func:`repro.nn.functional.conv1d` so a matmul
+    against the flattened filter bank reproduces its output bit-for-bit.
+    """
+    batch, padded_length, channels = padded.shape
+    out_length = padded_length - window + 1
+    out = np.empty((batch, out_length, window * channels), dtype=padded.dtype)
+    for offset in range(window):
+        out[:, :, offset * channels:(offset + 1) * channels] = (
+            padded[:, offset:offset + out_length, :]
+        )
+    return out
+
+
+def _segment_max(x: np.ndarray, segment_ids: np.ndarray, num_segments: int) -> np.ndarray:
+    """Per-segment masked max pooling (the PCNN pooling stage).
+
+    ``x`` is ``(rows, length, channels)``; ``segment_ids`` is
+    ``(rows, length)`` with negatives marking padding.  Returns
+    ``(rows, num_segments * channels)``: each segment max-pooled over its
+    own positions, zero where a segment has no valid position.
+    """
+    rows, _, channels = x.shape
+    out = np.empty((rows, num_segments * channels), dtype=x.dtype)
+    for seg in range(num_segments):
+        seg_mask = segment_ids == seg
+        segment_slice = out[:, seg * channels:(seg + 1) * channels]
+        # Masked reduction: same values as `np.where(mask, x, -inf)
+        # .max(axis=1)` (max is exact) without materialising the masked
+        # copy.  Empty segments reduce to the -inf initial, then zero.
+        np.max(x, axis=1, where=seg_mask[:, :, None], initial=-np.inf, out=segment_slice)
+        segment_slice[~seg_mask.any(axis=1)] = 0.0
+    return out
+
+
+def _conv_forward(conv, x: np.ndarray) -> np.ndarray:
     """Gradient-free :class:`~repro.nn.layers.Conv1d` forward.
 
     Replicates :func:`repro.nn.functional.conv1d` op for op (zero-padded
     buffer, im2col gather, one matmul against the flattened filters, bias
-    add) so the values are bit-identical; the buffers route through the
-    backend so the fast path reuses them across batches.
+    add) so the values are bit-identical.
     """
     weight = conv.weight.data
     out_channels, window, in_channels = weight.shape
     rows, length, _ = x.shape
     padding = conv.padding
     if padding > 0:
-        padded = backend.scratch(
-            workspace, key + ".pad", (rows, length + 2 * padding, in_channels),
-            x.dtype,
-        )
+        padded = np.empty((rows, length + 2 * padding, in_channels), dtype=x.dtype)
         # Only the border columns need zeroing; the interior is overwritten
         # by the copy, so skip the full-buffer fill.
         padded[:, :padding, :] = 0.0
@@ -211,52 +195,28 @@ def _conv_forward(
         padded[:, padding:padding + length, :] = x
     else:
         padded = x
-    out_length = padded.shape[1] - window + 1
-    col = backend.conv_window_gather(
-        padded,
-        window,
-        out=backend.scratch(
-            workspace, key + ".col", (rows, out_length, window * in_channels), x.dtype
-        ),
-    )
+    col = _conv_window_gather(padded, window)
     w_mat = weight.reshape(out_channels, window * in_channels)
-    out = backend.scratch(
-        workspace, key + ".out", (rows, out_length, out_channels), x.dtype
-    )
-    backend.matmul(col, w_mat.T, out=out)
+    out = np.matmul(col, w_mat.T)
     if conv.bias is not None:
         out += conv.bias.data
     return out
 
 
 def _pcnn_representations(
-    encoder: PCNNEncoder,
-    embedded: np.ndarray,
-    batch: MergedBagBatch,
-    backend: ArrayBackend,
-    workspace: Optional[Workspace],
+    encoder: PCNNEncoder, embedded: np.ndarray, batch: MergedBagBatch
 ) -> np.ndarray:
     """PCNN forward with gradient-free piecewise pooling.
 
     The segment masks already exclude everything beyond each bag's own width
-    (padding segments are -1), so only the pooling is reimplemented — as the
-    backend's ``segment_max``, which equals the autograd op's argmax/gather
+    (padding segments are -1), so only the pooling is reimplemented — as
+    :func:`_segment_max`, which equals the autograd op's argmax/gather
     for any segment with at least one valid position and 0 otherwise.
     """
-    convolved = _conv_forward(encoder.conv, embedded, backend, workspace, "pcnn")
+    convolved = _conv_forward(encoder.conv, embedded)
     out_length = convolved.shape[1]
     segments = _align_segments(batch.merged.segment_ids, out_length, encoder.conv.padding)
-    pooled = backend.segment_max(
-        convolved,
-        segments,
-        NUM_SEGMENTS,
-        out=backend.scratch(
-            workspace,
-            "pcnn.pooled",
-            (convolved.shape[0], NUM_SEGMENTS * convolved.shape[2]),
-            convolved.dtype,
-        ),
-    )
+    pooled = _segment_max(convolved, segments, NUM_SEGMENTS)
     return np.tanh(pooled, out=pooled)
 
 
@@ -265,8 +225,6 @@ def _cnn_representations(
     embedded: np.ndarray,
     batch: MergedBagBatch,
     widths: np.ndarray,
-    backend: ArrayBackend,
-    workspace: Optional[Workspace],
 ) -> np.ndarray:
     """CNN encoder forward restricted to each bag's own output length.
 
@@ -275,11 +233,11 @@ def _cnn_representations(
     so the merged pass must exclude the extra positions the wider batch
     introduces (they do not exist in the per-bag path).
     """
-    convolved = _conv_forward(encoder.conv, embedded, backend, workspace, "cnn")
+    convolved = _conv_forward(encoder.conv, embedded)
     mask = cnn_pooling_mask(
         batch, widths, convolved.shape[1], encoder.window_size, encoder.conv.padding
     )
-    # The convolution output is scratch, so mask it in place: invalid
+    # The convolution output is a temporary, so mask it in place: invalid
     # positions become -inf and can never win the max.
     convolved[~mask] = -np.inf
     pooled = convolved.max(axis=1)
@@ -288,14 +246,10 @@ def _cnn_representations(
 
 
 def _batched_aggregator_logits(
-    aggregator,
-    reprs: np.ndarray,
-    batch: MergedBagBatch,
-    backend: ArrayBackend,
-    workspace: Optional[Workspace],
+    aggregator, reprs: np.ndarray, batch: MergedBagBatch
 ) -> np.ndarray:
     if isinstance(aggregator, SelectiveAttentionAggregator):
-        return _selective_attention_logits(aggregator, reprs, batch, backend, workspace)
+        return _selective_attention_logits(aggregator, reprs, batch)
     if isinstance(aggregator, AverageBagAggregator):
         return _average_pool_logits(aggregator, reprs, batch)
     raise ModelError(
@@ -307,8 +261,6 @@ def _selective_attention_logits(
     aggregator: SelectiveAttentionAggregator,
     reprs: np.ndarray,
     batch: MergedBagBatch,
-    backend: ArrayBackend,
-    workspace: Optional[Workspace],
 ) -> np.ndarray:
     """Vectorized form of ``SelectiveAttentionAggregator.predict_logits``.
 
@@ -323,35 +275,23 @@ def _selective_attention_logits(
 
     num_relations = queries.shape[0]
     dim = reprs.shape[1]
-    weighted = backend.scratch(workspace, "att.weighted", reprs.shape, reprs.dtype)
-    np.multiply(reprs, diag, out=weighted)
-    scores = backend.matmul(
-        weighted,
-        queries.T,
-        out=backend.scratch(
-            workspace, "att.logits", (reprs.shape[0], num_relations), reprs.dtype
-        ),
-    )                                                   # (N, R)
+    scores = np.matmul(reprs * diag, queries.T)         # (N, R)
 
     # Scatter the flat sentence axis into (bag, slot) padded arrays.
     bag_of_row, slot_of_row, slot_mask = padded_slot_plan(batch)
     num_bags, max_sentences = slot_mask.shape
-    padded_scores = backend.scratch_filled(
-        workspace, "att.scores", (num_bags, max_sentences, num_relations),
-        reprs.dtype, -np.inf,
+    padded_scores = np.full(
+        (num_bags, max_sentences, num_relations), -np.inf, dtype=reprs.dtype
     )
-    padded_reprs = backend.scratch_filled(
-        workspace, "att.reprs", (num_bags, max_sentences, dim), reprs.dtype, 0.0
-    )
+    padded_reprs = np.zeros((num_bags, max_sentences, dim), dtype=reprs.dtype)
     padded_scores[bag_of_row, slot_of_row] = scores
     padded_reprs[bag_of_row, slot_of_row] = reprs
 
     # Per-bag softmax over the sentence axis (empty slots contribute
-    # exp(-inf)=0).  The padded scores are scratch, so the softmax may run
-    # in place (the fast backend does; values are bit-identical).
-    alphas = backend.softmax(padded_scores, axis=1, out=padded_scores)  # (B, S, R)
+    # exp(-inf)=0).
+    alphas = _softmax(padded_scores, axis=1)            # (B, S, R)
 
-    bag_per_relation = backend.matmul(alphas.transpose(0, 2, 1), padded_reprs)  # (B, R, d)
+    bag_per_relation = np.matmul(alphas.transpose(0, 2, 1), padded_reprs)  # (B, R, d)
     # Relation r is scored against its own attended representation, so only
     # the diagonal of the full (R, R) classifier product is needed.
     logits = np.einsum("brd,rd->br", bag_per_relation, weight)
@@ -371,15 +311,13 @@ def _average_pool_logits(
     return means @ weight.T + bias
 
 
-def _batched_type_logits(
-    type_head, batch: MergedBagBatch, backend: ArrayBackend
-) -> np.ndarray:
+def _batched_type_logits(type_head, batch: MergedBagBatch) -> np.ndarray:
     """Vectorized :class:`EntityTypeHead` forward over a batch of bags."""
     table = type_head.type_embedding.weight.data
     pair = np.concatenate(
         [
-            _mean_type_vectors(table, batch.head_type_ids, batch.head_type_offsets, backend),
-            _mean_type_vectors(table, batch.tail_type_ids, batch.tail_type_offsets, backend),
+            _mean_type_vectors(table, batch.head_type_ids, batch.head_type_offsets),
+            _mean_type_vectors(table, batch.tail_type_ids, batch.tail_type_offsets),
         ],
         axis=1,
     )
@@ -389,14 +327,11 @@ def _batched_type_logits(
 
 
 def _mean_type_vectors(
-    table: np.ndarray,
-    flat_ids: np.ndarray,
-    offsets: np.ndarray,
-    backend: ArrayBackend,
+    table: np.ndarray, flat_ids: np.ndarray, offsets: np.ndarray
 ) -> np.ndarray:
     """Per-bag mean of type-embedding rows over a ragged flat id column."""
     counts = np.diff(offsets)
-    sums = np.add.reduceat(backend.gather_rows(table, flat_ids), offsets[:-1], axis=0)
+    sums = np.add.reduceat(table[flat_ids], offsets[:-1], axis=0)
     return sums / counts.astype(table.dtype)[:, None]
 
 
@@ -422,15 +357,16 @@ def _batched_combined_logits(
     combiner = model.combiner
     if not combiner.use_types and not combiner.use_mutual_relations:
         return re_logits
-    combined = _row_softmax(re_logits) * combiner.gamma.data
+    combined = _softmax(re_logits) * combiner.gamma.data
     if combiner.use_types:
-        combined = combined + _row_softmax(type_logits) * combiner.beta.data
+        combined = combined + _softmax(type_logits) * combiner.beta.data
     if combiner.use_mutual_relations:
-        combined = combined + _row_softmax(mr_logits) * combiner.alpha.data
+        combined = combined + _softmax(mr_logits) * combiner.alpha.data
     return combined * combiner.scale.data + combiner.bias.data
 
 
-def _row_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
+def _softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Numerically stable softmax: shift by the axis max, exponentiate, normalise."""
+    shifted = logits - logits.max(axis=axis, keepdims=True)
     exp = np.exp(shifted)
-    return exp / exp.sum(axis=-1, keepdims=True)
+    return exp / exp.sum(axis=axis, keepdims=True)

@@ -31,7 +31,7 @@ output:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -39,7 +39,6 @@ from ..corpus.bags import EncodedBag
 from ..corpus.store import CorpusStore, pad_token_columns
 from ..encoders.cnn import _convolution_mask
 from ..exceptions import DataError, ModelError
-from ..nn.backend import Workspace
 from ..utils.arrays import concat_ranges, gather_ragged, offsets_from_sizes
 
 #: Anything the batched forwards accept as "a batch of bags".
@@ -95,41 +94,26 @@ class MergedBagBatch:
         return np.repeat(self.widths, self.sentence_counts)
 
 
-def as_merged_batch(
-    batch: BagBatchLike, workspace: Optional[Workspace] = None
-) -> MergedBagBatch:
+def as_merged_batch(batch: BagBatchLike) -> MergedBagBatch:
     """Normalise any accepted batch form into a :class:`MergedBagBatch`.
 
-    ``workspace`` optionally supplies reusable buffers for the padded
-    matrices (see :func:`merge_encoded_bags`); an already-merged batch is
-    returned untouched.
+    An already-merged batch is returned untouched.
     """
     if isinstance(batch, MergedBagBatch):
         return batch
-    if isinstance(batch, CorpusStore):
-        return merge_store_batch(
-            batch, np.arange(len(batch), dtype=np.int64), workspace=workspace
-        )
-    return merge_encoded_bags(batch, workspace=workspace)
+    return merge_encoded_bags(batch)
 
 
-def merge_encoded_bags(
-    bags: Sequence[EncodedBag], workspace: Optional[Workspace] = None
-) -> MergedBagBatch:
+def merge_encoded_bags(bags: Sequence[EncodedBag]) -> MergedBagBatch:
     """Concatenate the sentence arrays of many bags into one padded batch.
 
     Every sentence matrix is right-padded to the longest sentence length in
     the batch with the same padding values the :class:`BagEncoder` uses
     (token 0, position 0, segment -1, mask False), which preserves per-bag
-    encoder outputs exactly (see the module docstring).  With a
-    ``workspace`` the padded matrices are views into buffers reused across
-    calls (same values, no per-batch allocation) — callers must consume the
-    batch before the next merge against the same workspace.
+    encoder outputs exactly (see the module docstring).
     """
     if isinstance(bags, CorpusStore):
-        return merge_store_batch(
-            bags, np.arange(len(bags), dtype=np.int64), workspace=workspace
-        )
+        return merge_store_batch(bags, np.arange(len(bags), dtype=np.int64))
     if not bags:
         raise DataError("cannot merge an empty sequence of bags")
 
@@ -139,18 +123,11 @@ def merge_encoded_bags(
     widths = np.array([bag.max_length for bag in bags], dtype=np.int64)
     max_len = int(widths.max())
 
-    if workspace is not None:
-        token_ids = workspace.request_filled("merge.tokens", (total, max_len), np.int64, 0)
-        head_pos = workspace.request_filled("merge.heads", (total, max_len), np.int64, 0)
-        tail_pos = workspace.request_filled("merge.tails", (total, max_len), np.int64, 0)
-        segments = workspace.request_filled("merge.segments", (total, max_len), np.int64, -1)
-        mask = workspace.request_filled("merge.mask", (total, max_len), bool, False)
-    else:
-        token_ids = np.zeros((total, max_len), dtype=np.int64)
-        head_pos = np.zeros((total, max_len), dtype=np.int64)
-        tail_pos = np.zeros((total, max_len), dtype=np.int64)
-        segments = np.full((total, max_len), -1, dtype=np.int64)
-        mask = np.zeros((total, max_len), dtype=bool)
+    token_ids = np.zeros((total, max_len), dtype=np.int64)
+    head_pos = np.zeros((total, max_len), dtype=np.int64)
+    tail_pos = np.zeros((total, max_len), dtype=np.int64)
+    segments = np.full((total, max_len), -1, dtype=np.int64)
+    mask = np.zeros((total, max_len), dtype=bool)
 
     for i, bag in enumerate(bags):
         start, end = offsets[i], offsets[i + 1]
@@ -177,9 +154,7 @@ def merge_encoded_bags(
     )
 
 
-def merge_store_batch(
-    store: CorpusStore, indices: np.ndarray, workspace: Optional[Workspace] = None
-) -> MergedBagBatch:
+def merge_store_batch(store: CorpusStore, indices: np.ndarray) -> MergedBagBatch:
     """Assemble a merged batch by slicing a :class:`CorpusStore`'s offsets.
 
     Equivalent to ``merge_encoded_bags([store.bag(i) for i in indices])`` —
@@ -218,7 +193,6 @@ def merge_store_batch(
         store.segment_ids[token_rows],
         lengths,
         max_len,
-        workspace=workspace,
     )
 
     head_type_ids, head_type_offsets = gather_ragged(

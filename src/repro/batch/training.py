@@ -28,7 +28,7 @@ Parity is by construction (enforced by ``tests/test_batch_training.py``):
 
 from __future__ import annotations
 
-from typing import Optional, Tuple, Union
+from typing import Tuple
 
 import numpy as np
 
@@ -37,11 +37,9 @@ from ..core.model import NeuralREModel
 from ..encoders.attention import AverageBagAggregator, SelectiveAttentionAggregator
 from ..encoders.cnn import CNNEncoder
 from ..encoders.gru import GRUEncoder
-from ..encoders.pcnn import NUM_SEGMENTS as PCNN_NUM_SEGMENTS
-from ..encoders.pcnn import PCNNEncoder, _align_segments
+from ..encoders.pcnn import PCNNEncoder
 from ..exceptions import ModelError
 from ..nn import functional as F
-from ..nn.backend import ArrayBackend, Workspace, resolve_backend
 from ..nn.tensor import Tensor
 from .merging import (
     BagBatchLike,
@@ -75,8 +73,6 @@ def supports_batched_training(model: object) -> bool:
 def batched_train_logits(
     model: NeuralREModel,
     bags: BagBatchLike,
-    backend: Union[None, str, ArrayBackend] = None,
-    workspace: Optional[Workspace] = None,
 ) -> Tensor:
     """Combined training logits of shape ``(num_bags, num_relations)``.
 
@@ -86,15 +82,8 @@ def batched_train_logits(
     ``nn.stack([model(bag, bag.label) for bag in bags])`` — same values and
     same parameter gradients up to float64 round-off — but computed as one
     vectorized graph, which is what makes training a hot path instead of a
-    python loop (see ``benchmarks/test_bench_train.py``).
-
-    ``backend`` resolves through the ambient layers
-    (:func:`repro.nn.backend.resolve_backend`); when it reuses workspaces and
-    a ``workspace`` is supplied, batch assembly, helper masks/index plans and
-    the convolution's im2col/gradient scratch land in pooled buffers that are
-    reused across mini-batches.  The pooled formulations run the identical
-    ufunc sequences as the allocating ones, so results are bit-identical
-    whichever backend is ambient — dtype policy is the
+    python loop (see ``benchmarks/test_bench_train.py``).  The graph runs at
+    the dtype of the model's parameters; choosing it is the
     :class:`~repro.training.Trainer`'s job, not this function's.
     """
     if len(bags) == 0:
@@ -104,17 +93,13 @@ def batched_train_logits(
             f"model {type(model).__name__} is not supported by the batched "
             "training forward; train it with the per-bag loop"
         )
-    backend = resolve_backend(backend)
-    if workspace is not None and not backend.reuse_workspace:
-        workspace = None
-    batch = as_merged_batch(bags, workspace=workspace)
-    representations = _training_sentence_representations(model, batch, backend, workspace)
+    batch = as_merged_batch(bags)
+    representations = _training_sentence_representations(model, batch)
     re_logits = _aggregator_train_logits(
-        model.base_model.aggregator, representations, batch, batch.labels,
-        backend, workspace,
+        model.base_model.aggregator, representations, batch, batch.labels
     )
     type_logits = (
-        _type_head_logits(model.type_head, batch, backend, workspace)
+        _type_head_logits(model.type_head, batch)
         if model.type_head is not None
         else None
     )
@@ -132,10 +117,7 @@ def batched_train_logits(
 # Sentence encoding
 # ---------------------------------------------------------------------- #
 def _training_sentence_representations(
-    model: NeuralREModel,
-    batch: MergedBagBatch,
-    backend: ArrayBackend,
-    workspace: Optional[Workspace],
+    model: NeuralREModel, batch: MergedBagBatch
 ) -> Tensor:
     """Encoded (and dropout-masked) sentence vectors: ``(total_sentences, dim)``."""
     base = model.base_model
@@ -145,20 +127,10 @@ def _training_sentence_representations(
     # Columns beyond a bag's own width hold embedded pad tokens whose position
     # embeddings are non-zero; the per-bag arrays end at the bag's width, so
     # those columns must be true zeros with zero gradient.
-    mask_f = backend.scratch(
-        workspace, "train.width_mask", within_width.shape + (1,), embedded.dtype
-    )
-    mask_f[..., 0] = within_width  # bool write: exact 0.0/1.0, same as astype
-    embedded = embedded * Tensor(mask_f)
+    embedded = embedded * Tensor(within_width[..., None].astype(embedded.dtype))
     encoder = base.encoder
     if isinstance(encoder, CNNEncoder):
-        representations = _cnn_training_representations(
-            encoder, embedded, batch, widths, backend, workspace
-        )
-    elif isinstance(encoder, PCNNEncoder) and workspace is not None:
-        representations = _pcnn_training_representations(
-            encoder, embedded, batch, backend, workspace
-        )
+        representations = _cnn_training_representations(encoder, embedded, batch, widths)
     else:
         # The merged bag's segment ids (PCNN) and mask (GRU) already exclude
         # everything at or beyond each bag's own width, so the per-bag encoder
@@ -172,8 +144,6 @@ def _cnn_training_representations(
     embedded: Tensor,
     batch: MergedBagBatch,
     widths: np.ndarray,
-    backend: ArrayBackend,
-    workspace: Optional[Workspace],
 ) -> Tensor:
     """CNN encoder forward restricted to each bag's own output length.
 
@@ -182,125 +152,17 @@ def _cnn_training_representations(
     the merged pass must exclude the extra positions the wider batch
     introduces (they do not exist in the per-bag path).
     """
-    convolved = _conv1d_pooled(encoder.conv, embedded, backend, workspace)
+    convolved = encoder.conv(embedded)
     mask = cnn_pooling_mask(
         batch, widths, convolved.shape[1], encoder.window_size, encoder.conv.padding
     )
     return F.max_pool_sequence(convolved, mask=mask).tanh()
 
 
-def _pcnn_training_representations(
-    encoder: PCNNEncoder,
-    embedded: Tensor,
-    batch: MergedBagBatch,
-    backend: ArrayBackend,
-    workspace: Optional[Workspace],
-) -> Tensor:
-    """PCNN forward with the convolution's scratch pooled across batches.
-
-    Replays :meth:`PCNNEncoder.forward` exactly — conv, segment alignment,
-    piecewise max pooling, tanh — with the conv going through
-    :func:`_conv1d_pooled`, so values and gradients are bit-identical to the
-    module path.
-    """
-    convolved = _conv1d_pooled(encoder.conv, embedded, backend, workspace)
-    segments = _align_segments(
-        batch.merged.segment_ids, convolved.shape[1], encoder.conv.padding
-    )
-    pooled = F.piecewise_max_pool(convolved, segments, num_segments=PCNN_NUM_SEGMENTS)
-    return pooled.tanh()
-
-
-def _conv1d_pooled(
-    conv, x: Tensor, backend: ArrayBackend, workspace: Optional[Workspace]
-) -> Tensor:
-    """``conv(x)`` with im2col and gradient scratch pooled across batches.
-
-    The padded copy, im2col buffer, convolution output and both backward
-    scratch arrays are the largest per-batch allocations of the whole
-    training step; pooling them is most of the steady-state-zero-allocation
-    story.  The op sequence mirrors :func:`repro.nn.functional.conv1d`
-    exactly (zero-padded copy, window gather, matmul against the flattened
-    filter bank, bias add; the transposed ops in backward), so outputs and
-    gradients are bit-identical to the module path.  Without a workspace the
-    module forward runs unchanged.
-    """
-    if workspace is None:
-        return conv(x)
-    weight, bias, padding = conv.weight, conv.bias, conv.padding
-    batch_rows, length, in_channels = x.shape
-    out_channels, window, _ = weight.shape
-    if padding > 0:
-        padded = backend.scratch_filled(
-            workspace,
-            "train.conv.padded",
-            (batch_rows, length + 2 * padding, in_channels),
-            x.dtype,
-            0.0,
-        )
-        padded[:, padding:padding + length, :] = x.data
-    else:
-        padded = x.data
-    out_length = padded.shape[1] - window + 1
-    col = backend.conv_window_gather(
-        padded,
-        window,
-        out=workspace.request(
-            "train.conv.col",
-            (batch_rows, out_length, window * in_channels),
-            padded.dtype,
-        ),
-    )
-    w_mat = weight.data.reshape(out_channels, window * in_channels)
-    out_data = backend.matmul(
-        col,
-        w_mat.T,
-        out=workspace.request(
-            "train.conv.out", (batch_rows, out_length, out_channels), padded.dtype
-        ),
-    )
-    if bias is not None:
-        np.add(out_data, bias.data, out=out_data)
-
-    parents = [x, weight] + ([bias] if bias is not None else [])
-
-    def backward(grad: np.ndarray) -> None:
-        grad_w_mat = np.einsum(
-            "blo,blk->ok",
-            grad,
-            col,
-            out=workspace.request("train.conv.grad_w", w_mat.shape, w_mat.dtype),
-        )
-        weight._accumulate(grad_w_mat.reshape(weight.shape))
-        if bias is not None:
-            bias._accumulate(grad.sum(axis=(0, 1)))
-        grad_col = backend.matmul(
-            grad, w_mat, out=workspace.request("train.conv.grad_col", col.shape, col.dtype)
-        )
-        grad_padded = backend.scratch_filled(
-            workspace, "train.conv.grad_padded", padded.shape, padded.dtype, 0.0
-        )
-        for offset in range(window):
-            grad_padded[:, offset:offset + out_length, :] += (
-                grad_col[:, :, offset * in_channels:(offset + 1) * in_channels]
-            )
-        if padding > 0:
-            grad_x = grad_padded[:, padding:padding + length, :]
-        else:
-            grad_x = grad_padded
-        x._accumulate(grad_x)
-
-    return Tensor._make(out_data, tuple(parents), backward)
-
-
 # ---------------------------------------------------------------------- #
 # Bag aggregation (training path: gold relation guides the attention)
 # ---------------------------------------------------------------------- #
-def _padded_slot_index(
-    batch: MergedBagBatch,
-    backend: ArrayBackend,
-    workspace: Optional[Workspace],
-) -> Tuple[np.ndarray, np.ndarray]:
+def _padded_slot_index(batch: MergedBagBatch) -> Tuple[np.ndarray, np.ndarray]:
     """Gather plan for the flat sentence axis: ``(gather, slot_mask)``.
 
     ``gather`` is a ``(num_bags, max_sentences)`` int array mapping each
@@ -309,9 +171,7 @@ def _padded_slot_index(
     their gradients are exactly zero before the scatter-add back to row 0.
     """
     bag_of_row, slot_of_row, slot_mask = padded_slot_plan(batch)
-    gather = backend.scratch_filled(
-        workspace, "train.gather", slot_mask.shape, np.int64, 0
-    )
+    gather = np.zeros(slot_mask.shape, dtype=np.int64)
     gather[bag_of_row, slot_of_row] = np.arange(batch.num_sentences)
     return gather, slot_mask
 
@@ -321,11 +181,9 @@ def _aggregator_train_logits(
     representations: Tensor,
     batch: MergedBagBatch,
     labels: np.ndarray,
-    backend: ArrayBackend,
-    workspace: Optional[Workspace],
 ) -> Tensor:
     """Training logits ``(num_bags, num_relations)`` for either aggregator."""
-    gather, slot_mask = _padded_slot_index(batch, backend, workspace)
+    gather, slot_mask = _padded_slot_index(batch)
     if isinstance(aggregator, SelectiveAttentionAggregator):
         # Every sentence is scored against its own bag's gold-relation query:
         # q_j = (x_j * diag) . r_{label(bag(j))}, then a per-bag softmax over
@@ -339,14 +197,11 @@ def _aggregator_train_logits(
         bag_vectors = (padded_reprs * alphas.expand_dims(2)).sum(axis=1)
         return aggregator.classifier(bag_vectors)
     if isinstance(aggregator, AverageBagAggregator):
-        mask_f = backend.scratch(
-            workspace, "train.slot_mask", slot_mask.shape + (1,), representations.dtype
-        )
-        mask_f[..., 0] = slot_mask
+        mask_f = slot_mask[..., None].astype(representations.dtype)
         padded_reprs = F.gather_rows(representations, gather) * Tensor(mask_f)
-        # `astype(..., copy=False)` is the identity for the float64 reference
-        # graph and keeps a float32 fast-training graph from being upcast by
-        # this float64 1/count constant.
+        # `astype(..., copy=False)` is the identity for a float64 graph and
+        # keeps a float32 graph from being upcast by this float64 1/count
+        # constant.
         inv_counts = (1.0 / batch.sentence_counts)[:, None].astype(
             representations.dtype, copy=False
         )
@@ -360,49 +215,32 @@ def _aggregator_train_logits(
 # ---------------------------------------------------------------------- #
 # Entity-type head
 # ---------------------------------------------------------------------- #
-def _type_head_logits(
-    type_head,
-    batch: MergedBagBatch,
-    backend: ArrayBackend,
-    workspace: Optional[Workspace],
-) -> Tensor:
+def _type_head_logits(type_head, batch: MergedBagBatch) -> Tensor:
     """Vectorized :class:`EntityTypeHead` training forward: ``(num_bags, R)``."""
     head_vectors = _mean_type_embeddings(
-        type_head.type_embedding, batch.head_type_ids, batch.head_type_offsets,
-        backend, workspace, "train.types.head",
+        type_head.type_embedding, batch.head_type_ids, batch.head_type_offsets
     )
     tail_vectors = _mean_type_embeddings(
-        type_head.type_embedding, batch.tail_type_ids, batch.tail_type_offsets,
-        backend, workspace, "train.types.tail",
+        type_head.type_embedding, batch.tail_type_ids, batch.tail_type_offsets
     )
     return type_head.classifier(nn.concatenate([head_vectors, tail_vectors], axis=1))
 
 
 def _mean_type_embeddings(
-    embedding,
-    flat_ids: np.ndarray,
-    offsets: np.ndarray,
-    backend: ArrayBackend,
-    workspace: Optional[Workspace],
-    key: str,
+    embedding, flat_ids: np.ndarray, offsets: np.ndarray
 ) -> Tensor:
     """Per-bag mean of type-embedding rows with gradients: ``(num_bags, kt)``.
 
     The ragged id column arrives flat with offsets; padding slots use id 0
     and are masked to exact zeros, so gradients scattered into row 0 are
-    exact zeros too.  ``key`` keeps the head and tail calls on distinct
-    pooled buffers — both id/mask arrays stay live until backward.
+    exact zeros too.
     """
     counts = np.diff(offsets)
     max_types = int(counts.max())
     mask = np.arange(max_types)[None, :] < counts[:, None]
-    padded_ids = backend.scratch_filled(
-        workspace, key + ".ids", (counts.size, max_types), np.int64, 0
-    )
+    padded_ids = np.zeros((counts.size, max_types), dtype=np.int64)
     padded_ids[mask] = flat_ids
     embedded = embedding(padded_ids)
-    mask_f = backend.scratch(workspace, key + ".mask", mask.shape + (1,), embedded.dtype)
-    mask_f[..., 0] = mask
-    embedded = embedded * Tensor(mask_f)
+    embedded = embedded * Tensor(mask[..., None].astype(embedded.dtype))
     inv_counts = (1.0 / counts)[:, None].astype(embedded.dtype, copy=False)
     return embedded.sum(axis=1) * inv_counts

@@ -31,12 +31,13 @@ shares this implementation.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, TextIO, Union
 
-from .config import ScaleProfile
+from .config import DTYPES, ScaleProfile
 from .exceptions import ConfigurationError, ReproError, UsageError
 from .experiments import registry
 from .experiments.results import ExperimentResult
@@ -73,7 +74,6 @@ def apply_profile_overrides(
     epochs: Optional[int] = None,
     mmap: Optional[bool] = None,
     encode_workers: Optional[int] = None,
-    train_backend: Optional[str] = None,
 ) -> ScaleProfile:
     """Apply the CLI's profile-tuning flags in place; returns the profile."""
     if per_bag_training:
@@ -92,12 +92,6 @@ def apply_profile_overrides(
         if encode_workers < 0:
             raise ConfigurationError("--encode-workers must be >= 0")
         profile.encode_workers = encode_workers
-    if train_backend is not None:
-        # Fail fast on backend typos before paying for dataset preparation.
-        from .nn.backend import get_backend
-
-        get_backend(train_backend)  # raises ConfigurationError listing choices
-        profile.train_backend = train_backend
     return profile
 
 
@@ -216,10 +210,11 @@ def _cmd_train(args: argparse.Namespace) -> int:
         epochs=args.epochs,
         mmap=args.mmap,
         encode_workers=args.encode_workers,
-        train_backend=args.backend,
     )
     cache = ArtifactCache(args.cache_dir) if args.cache_dir else None
     context = prepare_context(args.dataset, profile=profile, seed=args.seed, cache=cache)
+    if args.dtype is not None:
+        context.training_config = dataclasses.replace(context.training_config, dtype=args.dtype)
     method, evaluation = train_and_evaluate(context, args.method)
     model = checkpointable_model(method)
     path = model.save(
@@ -307,7 +302,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     # paying the checkpoint hash-verify/rebuild cold start.
     requests = _load_requests(args.requests)
     service = PredictionService.from_checkpoint(
-        args.checkpoint, batch_size=args.batch_size, backend=args.backend
+        args.checkpoint, batch_size=args.batch_size, dtype=args.dtype
     )
     if args.daemon:
         results, stats = _serve_via_daemon(service, requests, args)
@@ -358,7 +353,6 @@ def _serve_via_daemon(service, requests, args: argparse.Namespace):
         max_wait_ms=args.max_wait_ms,
         queue_limit=max(args.queue_limit, len(requests)),
         num_workers=args.workers,
-        backend=args.backend,
     )
     config.validate()
     with ServingDaemon(service, config=config) as daemon:
@@ -487,12 +481,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="fork this many corpus-encode workers (0/1 = serial)",
     )
     train_parser.add_argument(
-        "--backend",
+        "--dtype",
+        choices=DTYPES,
         default=None,
-        help="training compute backend: 'reference' (float64, the default "
-        "numerics) or 'fast' (float32 activations/gradients with float64 "
-        "master weights; matches reference to a small tolerance, higher "
-        "throughput); omit to keep the ambient backend",
+        help="training compute dtype: float64 (the default) or "
+        "float32 (float32 activations/gradients with float64 master "
+        "weights; matches float64 to a small tolerance, higher throughput)",
     )
     train_parser.set_defaults(func=_cmd_train)
 
@@ -508,11 +502,11 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--top-k", type=int, default=3)
     serve_parser.add_argument("--batch-size", type=int, default=32)
     serve_parser.add_argument(
-        "--backend",
-        default=None,
-        help="compute backend: 'reference' (float64, the default numerics) or "
-        "'fast' (float32 weights + workspace reuse; ~same answers, lower "
-        "latency); omit to keep the ambient backend",
+        "--dtype",
+        choices=DTYPES,
+        default="float64",
+        help="serving compute dtype: float64 (the default numerics) or "
+        "float32 (float32 weights; ~same answers, lower latency)",
     )
     serve_parser.add_argument("--output", default="-", help="output file ('-' for stdout)")
     serve_parser.add_argument(

@@ -30,6 +30,20 @@ from typing import Dict, Optional
 
 from .exceptions import ConfigurationError
 
+#: Compute dtypes the training and serving paths accept: ``"float64"`` is
+#: the reference numerics; ``"float32"`` trades ~1e-5 of precision for
+#: throughput (see the parity contract in ``docs/architecture.md``).
+DTYPES = ("float64", "float32")
+
+
+def check_dtype(dtype: str) -> str:
+    """Return ``dtype`` if it names a supported compute dtype, else raise."""
+    if dtype not in DTYPES:
+        raise ConfigurationError(
+            f"unknown compute dtype {dtype!r}; choose one of {', '.join(DTYPES)}"
+        )
+    return dtype
+
 
 @dataclass
 class ModelConfig:
@@ -134,13 +148,11 @@ class TrainingConfig:
     # round-off, several times faster per epoch.  Models the batched layer
     # does not understand fall back to the per-bag loop automatically.
     batched_training: bool = True
-    # Compute backend for the batched training path ("reference", "fast",
-    # ...; see repro.nn.backend).  None keeps the ambient backend and
-    # today's float64 numerics; "fast" opts the forward/backward graph into
-    # float32 with float64 master weights held by the optimizer (losses and
-    # final parameters match the reference run to an explicit tolerance —
-    # see docs/architecture.md for the parity contract).
-    backend: Optional[str] = None
+    # Compute dtype of the batched forward/backward graph.  "float32" keeps
+    # float64 master weights in the optimizer (losses and final parameters
+    # match the float64 run to an explicit tolerance — see
+    # docs/architecture.md for the parity contract).
+    dtype: str = "float64"
 
     def validate(self) -> None:
         if self.epochs <= 0:
@@ -153,12 +165,7 @@ class TrainingConfig:
             raise ConfigurationError(f"unknown optimizer '{self.optimizer}'")
         if self.na_class_weight <= 0:
             raise ConfigurationError("na_class_weight must be positive")
-        if self.backend is not None:
-            # Delayed import: repro.nn.backend imports repro.exceptions, which
-            # must not pull config back in at module-import time.
-            from .nn.backend import get_backend
-
-            get_backend(self.backend)  # raises ConfigurationError if unknown
+        check_dtype(self.dtype)
 
 
 @dataclass
@@ -213,11 +220,6 @@ class DaemonConfig:
     queue_limit: int = 256         # queued + in-flight requests before backpressure
     num_workers: int = 1           # executor threads running the vectorized forward
     latency_window: int = 4096     # latency samples kept for quantile estimates
-    # Compute backend for the daemon's PredictionService ("reference",
-    # "fast", ...; see repro.nn.backend).  None keeps the ambient backend
-    # and today's float64 numerics; "fast" opts into the float32
-    # workspace-reuse serve path.
-    backend: Optional[str] = None
 
     def validate(self) -> None:
         if self.max_batch_size <= 0:
@@ -230,12 +232,6 @@ class DaemonConfig:
             raise ConfigurationError("num_workers must be positive")
         if self.latency_window <= 0:
             raise ConfigurationError("latency_window must be positive")
-        if self.backend is not None:
-            # Delayed import: repro.nn.backend imports repro.exceptions, which
-            # must not pull config back in at module-import time.
-            from .nn.backend import get_backend
-
-            get_backend(self.backend)  # raises ConfigurationError if unknown
 
     @property
     def max_wait_seconds(self) -> float:
@@ -323,15 +319,6 @@ class ScaleProfile:
     daemon_max_wait_ms: float = 2.0
     daemon_queue_limit: int = 256
     daemon_workers: int = 1
-    # Compute backend for serving built off this profile (Session.service /
-    # Session.daemon / daemon_config).  None = ambient backend with today's
-    # float64 numerics; "fast" = float32 weights + workspace reuse.
-    serve_backend: Optional[str] = None
-    # Compute backend for training built off this profile (forwarded into
-    # TrainingConfig.backend by training_config()).  None = ambient backend
-    # and float64 training; "fast" = float32 forward/backward graph with
-    # float64 master weights in the optimizer.
-    train_backend: Optional[str] = None
     # Out-of-core corpus engine knobs (PR 7).  `encode_workers` > 1 fans
     # BagEncoder.encode_store out over forked workers (0/1 = serial, the
     # deterministic tier-1 default — parallel results are bitwise identical,
@@ -424,7 +411,6 @@ class ScaleProfile:
             learning_rate=self.learning_rate,
             seed=seed,
             batched_training=self.batched_training,
-            backend=self.train_backend,
         )
         config.batch_size = max(8, min(32, self.model_config().batch_size))
         return config
@@ -454,7 +440,6 @@ class ScaleProfile:
             max_wait_ms=self.daemon_max_wait_ms,
             queue_limit=self.daemon_queue_limit,
             num_workers=self.daemon_workers,
-            backend=self.serve_backend,
         )
         config.validate()
         return config

@@ -917,7 +917,6 @@ def pad_token_columns(
     segment_ids: np.ndarray,
     lengths: np.ndarray,
     width: int,
-    workspace=None,
 ):
     """Scatter flat token columns into right-padded ``(rows, width)`` matrices.
 
@@ -928,24 +927,12 @@ def pad_token_columns(
     segment -1, mask False.  Shared by :meth:`CorpusStore.bag` and
     :func:`repro.batch.merging.merge_store_batch` so the two can never
     disagree.
-
-    ``workspace`` (a :class:`repro.nn.backend.Workspace`) optionally backs
-    the padded matrices with buffers reused across calls — same values, no
-    per-batch allocation; callers must consume the previous result before
-    padding again against the same workspace.
     """
     valid = np.arange(width)[None, :] < lengths[:, None]
-    if workspace is not None:
-        shape = (lengths.size, width)
-        padded_tokens = workspace.request_filled("pad.tokens", shape, np.int64, 0)
-        padded_heads = workspace.request_filled("pad.heads", shape, np.int64, 0)
-        padded_tails = workspace.request_filled("pad.tails", shape, np.int64, 0)
-        padded_segments = workspace.request_filled("pad.segments", shape, np.int64, -1)
-    else:
-        padded_tokens = np.zeros((lengths.size, width), dtype=np.int64)
-        padded_heads = np.zeros((lengths.size, width), dtype=np.int64)
-        padded_tails = np.zeros((lengths.size, width), dtype=np.int64)
-        padded_segments = np.full((lengths.size, width), -1, dtype=np.int64)
+    padded_tokens = np.zeros((lengths.size, width), dtype=np.int64)
+    padded_heads = np.zeros((lengths.size, width), dtype=np.int64)
+    padded_tails = np.zeros((lengths.size, width), dtype=np.int64)
+    padded_segments = np.full((lengths.size, width), -1, dtype=np.int64)
     padded_tokens[valid] = token_ids
     padded_heads[valid] = head_position_ids
     padded_tails[valid] = tail_position_ids

@@ -192,9 +192,6 @@ def prepare_context(
     profile_key.pop("ingest_keep_versions", None)
     profile_key.pop("ingest_poll_interval_ms", None)
     profile_key.pop("ingest_finetune_epochs", None)
-    # The training backend shapes the post-context training stage, never the
-    # prepared artifacts; `train --backend fast` must reuse cached contexts.
-    profile_key.pop("train_backend", None)
     stage_key = {
         "dataset": dataset,
         "profile": profile_key,
@@ -229,11 +226,7 @@ def prepare_context(
         load=EntityProximityGraph.load,
     )
     # The embeddings depend on the graph, so their key includes the graph key.
-    # The pipeline always trains reference (float64) embeddings — the
-    # LineConfig backend knob stays None here — so keep it out of the key and
-    # the cached artifacts stay valid.
     line_key = {**graph_key, "line": asdict(line_config)}
-    line_key["line"].pop("backend", None)
     embeddings = cache.get_or_build(
         "line_embeddings",
         line_key,

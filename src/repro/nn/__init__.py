@@ -5,18 +5,7 @@ in :mod:`repro.encoders`, :mod:`repro.core` and :mod:`repro.baselines` reads
 like the original implementations.
 """
 
-from . import backend, functional, init
-from .backend import (
-    ArrayBackend,
-    FastBackend,
-    ReferenceBackend,
-    Workspace,
-    available_backends,
-    get_backend,
-    register_backend,
-    set_backend,
-    use_backend,
-)
+from . import functional, init
 from .layers import (
     Conv1d,
     Dropout,
@@ -46,16 +35,6 @@ from .tensor import (
 __all__ = [
     "functional",
     "init",
-    "backend",
-    "ArrayBackend",
-    "ReferenceBackend",
-    "FastBackend",
-    "Workspace",
-    "available_backends",
-    "get_backend",
-    "set_backend",
-    "use_backend",
-    "register_backend",
     "default_dtype",
     "Tensor",
     "tensor",

@@ -6,23 +6,47 @@ and several baselines converge much faster with it at the reduced scale of the
 synthetic datasets.
 
 Every ``step()`` is *fused*: updates run through in-place ``out=`` ufuncs into
-a small pooled :class:`~repro.nn.backend.Workspace`, so a steady-state
-training loop performs zero per-parameter temporary allocations after the
-first step.  The fused sequences replicate the historical per-temporary
-formulas operation for operation (scalar multiplication commutes bitwise,
-``x ** 2`` lowers to ``np.square``, and an in-place subtract writes the same
-value a fresh subtract would), so results stay bit-identical to earlier
-releases — ``tests/test_train_backend.py`` pins this.
+a small pooled :class:`Workspace`, so a steady-state training loop performs
+zero per-parameter temporary allocations after the first step.  The fused
+sequences replicate the historical per-temporary formulas operation for
+operation (scalar multiplication commutes bitwise, ``x ** 2`` lowers to
+``np.square``, and an in-place subtract writes the same value a fresh
+subtract would), so results stay bit-identical to earlier releases —
+``tests/test_train_dtype.py`` pins this.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+import math
+from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
-from .backend import Workspace
 from .module import Parameter
+
+
+class Workspace:
+    """Named scratch buffers reused across optimizer steps.
+
+    Buffers are keyed by ``(name, dtype)`` and grow to the largest request,
+    so once every parameter shape has been seen :meth:`request` stops
+    allocating.  Views handed out for the same key alias the same memory.
+    """
+
+    def __init__(self) -> None:
+        self._buffers: Dict[Tuple[str, np.dtype], np.ndarray] = {}
+        #: Fresh buffer allocations over the workspace's lifetime.
+        self.allocations = 0
+
+    def request(self, key: str, shape: Tuple[int, ...], dtype) -> np.ndarray:
+        """An uninitialised array of exactly ``shape``/``dtype``."""
+        dtype = np.dtype(dtype)
+        needed = int(math.prod(shape))
+        buffer = self._buffers.get((key, dtype))
+        if buffer is None or buffer.size < needed:
+            buffer = self._buffers[(key, dtype)] = np.empty(needed, dtype=dtype)
+            self.allocations += 1
+        return buffer[:needed].reshape(shape)
 
 
 class Optimizer:

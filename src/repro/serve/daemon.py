@@ -384,7 +384,7 @@ class ServingDaemon:
         new_service = PredictionService.from_checkpoint(
             checkpoint_path,
             batch_size=self._service.batch_size,
-            backend=self._service.requested_backend,
+            dtype=self._service.dtype,
         )
         self._service = new_service
         self.metrics.record_reload()
@@ -480,12 +480,5 @@ class ServingDaemon:
             snapshot["running"] = self._running
         snapshot["model"] = self._service.model.describe()
         snapshot["version"] = self._active_version
-        snapshot["backend"] = {
-            "name": self._service.backend.name,
-            "serve_dtype": (
-                np.dtype(self._service.serve_dtype).name
-                if self._service.serve_dtype is not None
-                else None
-            ),
-        }
+        snapshot["dtype"] = self._service.dtype
         return snapshot

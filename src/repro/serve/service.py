@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import copy
 import re
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -32,7 +31,7 @@ from ..kb.knowledge_base import KnowledgeBase
 from ..kb.schema import RelationSchema
 from ..batch import batched_predict_probabilities
 from ..batch.merging import merge_store_batch
-from ..nn.backend import ArrayBackend, Workspace, resolve_backend
+from ..config import check_dtype
 from ..text.tokenizer import simple_tokenize
 from ..utils.logging import get_logger
 
@@ -113,18 +112,12 @@ class PredictionService:
         Maximum number of bags merged into one vectorized forward pass; modest
         chunks keep padding waste low (bags are width-bucketed first), so the
         default favours throughput over raw batch size.
-    backend:
-        Compute backend for the batched forward pass: a name from
-        :func:`repro.nn.backend.available_backends`, an
-        :class:`~repro.nn.backend.ArrayBackend` instance, or ``None``
-        (the default) for the ambient backend.  Pinning a backend
-        *explicitly* opts the service into that backend's full serving
-        policy: with ``backend="fast"`` the model weights are cast once to
-        float32 (on a private copy — the caller's model is untouched) and
-        padded batch buffers plus intermediate activations are pooled in a
-        per-worker-thread :class:`~repro.nn.backend.Workspace`.  With
-        ``backend=None`` the ambient backend supplies kernels only, so
-        default results stay bit-identical to earlier releases.
+    dtype:
+        Compute dtype of the batched forward pass, ``"float64"`` (the
+        default) or ``"float32"``.  A model whose parameters are in another
+        dtype is cast once, on a private copy — the caller's model is
+        untouched.  Whatever the compute dtype, the final softmax runs in
+        float64 and the returned probabilities are float64.
     """
 
     def __init__(
@@ -134,57 +127,27 @@ class PredictionService:
         schema: RelationSchema,
         kb: Optional[KnowledgeBase] = None,
         batch_size: int = 32,
-        backend: Union[str, ArrayBackend, None] = None,
+        dtype: str = "float64",
     ) -> None:
         if batch_size <= 0:
             raise DataError("batch_size must be positive")
-        #: The ``backend`` argument as given, so reload paths (the serving
-        #: daemon's hot checkpoint reload) can rebuild an identical service.
-        self.requested_backend = backend
-        self._backend = resolve_backend(backend)
-        # The serve dtype policy only applies when a backend is pinned
-        # explicitly; ambient selection (env var / set_backend) swaps
-        # kernels but never silently changes numerics.
-        self.serve_dtype: Optional[np.dtype] = (
-            self._backend.serve_dtype if backend is not None else None
-        )
-        if self.serve_dtype is not None and model.parameter_dtype() != self.serve_dtype:
-            model = copy.deepcopy(model).cast_(self.serve_dtype)
+        self.dtype = check_dtype(dtype)
+        if model.parameter_dtype() != np.dtype(dtype):
+            model = copy.deepcopy(model).cast_(dtype)
         self.model = model
         self.encoder = encoder
         self.schema = schema
         self.kb = kb
         self.batch_size = batch_size
         self.stats = ServiceStats()
-        self._thread_state = threading.local()
         model.eval()
         logger.info(
-            "prediction service ready: %s, %d relations, batch_size=%d, backend=%s%s",
+            "prediction service ready: %s, %d relations, batch_size=%d, dtype=%s",
             model.describe(),
             model.num_relations,
             batch_size,
-            self._backend.name,
-            f" (dtype={np.dtype(self.serve_dtype).name})" if self.serve_dtype else "",
+            dtype,
         )
-
-    @property
-    def backend(self) -> ArrayBackend:
-        """The resolved compute backend running the batched forward pass."""
-        return self._backend
-
-    def _workspace(self) -> Optional[Workspace]:
-        """Per-worker-thread scratch pool, or ``None`` when reuse is off.
-
-        Workspaces are keyed on the calling thread so the daemon's worker
-        pool never shares (and never locks) buffers; each worker amortises
-        its padded-batch and activation allocations across batches.
-        """
-        if not self._backend.reuse_workspace:
-            return None
-        workspace = getattr(self._thread_state, "workspace", None)
-        if workspace is None:
-            workspace = self._thread_state.workspace = Workspace()
-        return workspace
 
     @classmethod
     def from_context(
@@ -192,7 +155,7 @@ class PredictionService:
         context,
         model: NeuralREModel,
         batch_size: int = 32,
-        backend: Union[str, ArrayBackend, None] = None,
+        dtype: str = "float64",
     ) -> "PredictionService":
         """Build a service from a prepared experiment context and a trained model.
 
@@ -206,7 +169,7 @@ class PredictionService:
             schema=context.bundle.schema,
             kb=context.bundle.kb,
             batch_size=batch_size,
-            backend=backend,
+            dtype=dtype,
         )
 
     @classmethod
@@ -214,7 +177,7 @@ class PredictionService:
         cls,
         path,
         batch_size: int = 32,
-        backend: Union[str, ArrayBackend, None] = None,
+        dtype: str = "float64",
     ) -> "PredictionService":
         """Cold-start a service from a checkpoint directory.
 
@@ -239,7 +202,7 @@ class PredictionService:
             schema=checkpoint.schema,
             kb=checkpoint.kb,
             batch_size=batch_size,
-            backend=backend,
+            dtype=dtype,
         )
 
     # ------------------------------------------------------------------ #
@@ -344,21 +307,16 @@ class PredictionService:
             else [bag.max_length for bag in bags]
         )
         order = np.argsort(widths, kind="stable")
-        workspace = self._workspace()
         rows = []
         for start in range(0, len(order), self.batch_size):
             indices = order[start:start + self.batch_size]
             if store is not None:
-                chunk = merge_store_batch(store, indices, workspace=workspace)
+                chunk = merge_store_batch(store, indices)
                 num_sentences = chunk.num_sentences
             else:
                 chunk = [bags[int(i)] for i in indices]
                 num_sentences = sum(bag.num_sentences for bag in chunk)
-            rows.append(
-                batched_predict_probabilities(
-                    self.model, chunk, backend=self._backend, workspace=workspace
-                )
-            )
+            rows.append(batched_predict_probabilities(self.model, chunk))
             self.stats.batches += 1
             self.stats.sentences += num_sentences
         self.stats.requests += len(bags)

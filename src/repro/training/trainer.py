@@ -11,12 +11,9 @@ epoch (``benchmarks/test_bench_train.py``).  Models the batched layer does
 not understand, and configs with ``batched_training=False``, use the per-bag
 loop.
 
-The batched path dispatches through the compute-backend seam
-(:mod:`repro.nn.backend`).  Ambient backend selection swaps kernels only and
-stays bit-identical; pinning ``TrainingConfig(backend="fast")`` additionally
-engages the backend's *training dtype policy*: the forward/backward graph
-runs in float32 on a shadow copy of the model while the optimizer keeps
-updating float64 master weights, with gradients accumulated in float64 at the
+``TrainingConfig(dtype="float32")`` runs the batched forward/backward graph
+in float32 on a shadow copy of the model while the optimizer keeps updating
+float64 master weights, with gradients accumulated in float64 at the
 parameter boundary (float32→float64 is exact).  Checkpoints and the trained
 model always hold the float64 masters — see the parity contract in
 ``docs/architecture.md``.
@@ -27,7 +24,7 @@ from __future__ import annotations
 import contextlib
 import copy
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -40,7 +37,6 @@ from ..corpus.loader import BatchIterator
 from ..corpus.store import CorpusStore
 from ..exceptions import ConfigurationError
 from ..nn import functional as F
-from ..nn.backend import ArrayBackend, Workspace, resolve_backend
 from ..nn.tensor import default_dtype
 from ..utils.logging import get_logger
 from .callbacks import CheckpointCallback, EarlyStopping, LossHistory
@@ -83,22 +79,17 @@ class Trainer:
         self._optimizer = self._build_optimizer()
         self._class_weights = self._build_class_weights()
         self._batched = self.config.batched_training and supports_batched_training(model)
-        self._backend = resolve_backend(self.config.backend)
-        self._workspace = Workspace() if self._backend.reuse_workspace else None
         self._master_params = self._optimizer.parameters
         self._compute_model: nn.Module = self.model
         self._compute_params = self._master_params
         self._grad_buffers: List[np.ndarray] = []
         self._train_dtype: Optional[np.dtype] = None
-        # The dtype policy engages only when the config names the backend
-        # explicitly — ambient selection (REPRO_BACKEND / set_backend) swaps
-        # kernels only and must stay bit-identical to the reference run.
-        policy = self._backend.train_dtype if self.config.backend is not None else None
-        if policy is not None and np.dtype(policy) != self.model.parameter_dtype():
+        dtype = np.dtype(self.config.dtype)
+        if dtype != self.model.parameter_dtype():
             if self._batched:
-                self._train_dtype = np.dtype(policy)
+                self._train_dtype = dtype
                 # Shadow compute model: forward/backward runs here in the
-                # policy dtype; the optimizer keeps updating the float64
+                # compute dtype; the optimizer keeps updating the float64
                 # masters in self.model, which stay the source of truth for
                 # checkpoints and the returned trained model.
                 self._compute_model = copy.deepcopy(self.model).cast_(self._train_dtype)
@@ -106,10 +97,9 @@ class Trainer:
                 self._grad_buffers = [np.empty_like(p.data) for p in self._master_params]
             else:
                 logger.warning(
-                    "backend '%s' requests %s training, but the %s path does "
-                    "not support the dtype policy; training in %s",
-                    self._backend.name,
-                    np.dtype(policy).name,
+                    "%s training requested, but the %s path does not support "
+                    "a compute dtype; training in %s",
+                    dtype.name,
                     "per-bag" if self.config.batched_training else "non-batched",
                     self.model.parameter_dtype().name,
                 )
@@ -141,38 +131,17 @@ class Trainer:
         return weights
 
     # ------------------------------------------------------------------ #
-    # Backend plumbing
+    # Compute-dtype plumbing
     # ------------------------------------------------------------------ #
     @property
-    def backend(self) -> ArrayBackend:
-        """The resolved compute backend driving the batched training path."""
-        return self._backend
-
-    @property
     def activation_dtype(self) -> np.dtype:
-        """Dtype the forward/backward graph runs in (policy or model dtype)."""
+        """Dtype the forward/backward graph runs in."""
         return self._train_dtype or self.model.parameter_dtype()
-
-    def workspace_stats(self) -> Optional[Dict[str, int]]:
-        """Pooled-scratch statistics, or ``None`` without workspace reuse.
-
-        ``allocations`` counts fresh buffer allocations over the trainer's
-        lifetime; a steady-state loop stops incrementing it after the first
-        epoch (asserted in ``tests/test_train_backend.py``).
-        """
-        if self._workspace is None:
-            return None
-        return {
-            "buffers": self._workspace.num_buffers,
-            "nbytes": self._workspace.nbytes,
-            "high_water_nbytes": self._workspace.high_water_nbytes,
-            "allocations": self._workspace.allocations,
-        }
 
     def _graph_scope(self):
         """Dtype scope for the forward/backward graph.
 
-        Under the float32 policy, python-scalar constants entering the graph
+        Under float32 compute, python-scalar constants entering the graph
         must become float32 0-d arrays or numpy's promotion would silently
         upcast every downstream activation back to float64.
         """
@@ -221,12 +190,7 @@ class Trainer:
             raise ConfigurationError("empty batch")
         with self._graph_scope():
             if self._batched:
-                stacked = batched_train_logits(
-                    self._compute_model,
-                    batch,
-                    backend=self._backend,
-                    workspace=self._workspace,
-                )
+                stacked = batched_train_logits(self._compute_model, batch)
                 labels = (
                     batch.labels
                     if isinstance(batch, (MergedBagBatch, CorpusStore))
@@ -298,9 +262,8 @@ class Trainer:
         param_dtype = self.model.parameter_dtype().name
         activation_dtype = self.activation_dtype.name
         logger.info(
-            "training %d bags: backend=%s params=%s activations=%s batched=%s",
-            len(train_bags), self._backend.name, param_dtype, activation_dtype,
-            self._batched,
+            "training %d bags: params=%s activations=%s batched=%s",
+            len(train_bags), param_dtype, activation_dtype, self._batched,
         )
         stopped_early = False
         diverged = False
@@ -316,7 +279,7 @@ class Trainer:
         for epoch in range(self.config.epochs):
             for batch_index, batch in enumerate(iterator):
                 if store is not None:
-                    batch = merge_store_batch(store, batch, workspace=self._workspace)
+                    batch = merge_store_batch(store, batch)
                 loss = self.train_batch(batch)
                 history.record_batch(loss)
                 if not np.isfinite(loss):
@@ -334,17 +297,9 @@ class Trainer:
                     )
             epoch_loss = history.end_epoch()
             epochs_run = epoch + 1
-            stats = self.workspace_stats()
             logger.debug(
-                "epoch %d mean loss %.4f [backend=%s params=%s activations=%s%s]",
-                epoch + 1, epoch_loss, self._backend.name, param_dtype,
-                activation_dtype,
-                (
-                    f" scratch={stats['nbytes']}B/{stats['buffers']}buf"
-                    f" allocs={stats['allocations']}"
-                    if stats is not None
-                    else ""
-                ),
+                "epoch %d mean loss %.4f [params=%s activations=%s]",
+                epoch + 1, epoch_loss, param_dtype, activation_dtype,
             )
             if diverged:
                 break

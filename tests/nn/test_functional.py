@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.nn import functional as F
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, default_dtype
 
 
 class TestSoftmaxFamily:
@@ -28,20 +28,6 @@ class TestSoftmaxFamily:
         np.testing.assert_allclose(
             F.log_softmax(x).data, np.log(F.softmax(x).data), rtol=1e-10
         )
-
-    def test_softmax_gradient_numeric(self, gradcheck):
-        rng = np.random.default_rng(2)
-        x = Tensor(rng.standard_normal((2, 4)), requires_grad=True)
-        coefficients = rng.standard_normal((2, 4))
-
-        def loss():
-            x.grad = None
-            return (F.softmax(x, axis=-1) * Tensor(coefficients)).sum()
-
-        loss().backward()
-        analytic = x.grad.copy()
-        numeric = gradcheck(lambda: float(loss().data), x.data)
-        np.testing.assert_allclose(analytic, numeric, rtol=1e-5, atol=1e-8)
 
     def test_masked_softmax_zeroes_masked_positions(self):
         x = Tensor(np.ones((2, 4)))
@@ -107,21 +93,6 @@ class TestLosses:
         np.testing.assert_array_equal(logits.grad[0], [0.0, 0.0])
         assert np.abs(logits.grad[1]).max() > 0
 
-    def test_cross_entropy_gradient_numeric(self, gradcheck):
-        rng = np.random.default_rng(4)
-        logits = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
-        targets = np.array([0, 2, 4, 1])
-        weight = np.array([0.25, 1.0, 1.0, 1.0, 0.5])
-
-        def loss():
-            logits.grad = None
-            return F.cross_entropy(logits, targets, weight=weight)
-
-        loss().backward()
-        analytic = logits.grad.copy()
-        numeric = gradcheck(lambda: float(loss().data), logits.data)
-        np.testing.assert_allclose(analytic, numeric, rtol=1e-5, atol=1e-8)
-
     def test_nll_loss_matches_cross_entropy(self):
         rng = np.random.default_rng(5)
         logits = Tensor(rng.standard_normal((3, 4)))
@@ -172,20 +143,6 @@ class TestEmbeddingAndDropout:
         out = F.gather_rows(x, np.array([[1, 1], [2, 0]]))
         out.sum().backward()
         np.testing.assert_allclose(x.grad, [[1, 1], [2, 2], [1, 1]])
-
-    def test_gather_rows_gradient_numeric(self, gradcheck):
-        rng = np.random.default_rng(5)
-        x = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
-        indices = np.array([[0, 2, 2], [3, 1, 0]])
-
-        def loss():
-            x.grad = None
-            return (F.gather_rows(x, indices) * F.gather_rows(x, indices)).sum()
-
-        loss().backward()
-        analytic = x.grad.copy()
-        numeric = gradcheck(lambda: float(loss().data), x.data)
-        np.testing.assert_allclose(analytic, numeric, rtol=1e-5, atol=1e-8)
 
     def test_dropout_eval_is_identity(self):
         x = Tensor(np.ones((5, 5)))
@@ -287,22 +244,6 @@ class TestConvolutionAndPooling:
         with pytest.raises(ValueError):
             F.piecewise_max_pool(Tensor(np.ones((1, 3, 2))), np.zeros((2, 3), dtype=int))
 
-    def test_conv_gradient_numeric(self, gradcheck):
-        rng = np.random.default_rng(6)
-        x = Tensor(rng.standard_normal((2, 5, 3)), requires_grad=True)
-        w = Tensor(rng.standard_normal((2, 3, 3)) * 0.5, requires_grad=True)
-        coefficients = rng.standard_normal((2, 5, 2))
-
-        def loss():
-            x.grad = None
-            w.grad = None
-            return (F.conv1d(x, w, padding=1) * Tensor(coefficients)).sum()
-
-        loss().backward()
-        analytic_w = w.grad.copy()
-        numeric_w = gradcheck(lambda: float(loss().data), w.data)
-        np.testing.assert_allclose(analytic_w, numeric_w, rtol=1e-5, atol=1e-7)
-
 
 class TestAttentionHelpers:
     def test_selective_attention_scores_shape(self):
@@ -348,3 +289,96 @@ class TestPropertyBased:
         # by the per-sentence global max) or 0 for an empty segment.
         per_sentence_bound = np.maximum(x.max(axis=(1, 2)), 0.0)
         assert np.all(pooled.max(axis=1) <= per_sentence_bound + 1e-12)
+
+
+# ---------------------------------------------------------------------- #
+# Op x dtype table: every op the batched train/serve paths use, checked
+# once for float64 gradients and once for float32 forward values.
+# ---------------------------------------------------------------------- #
+# Each entry builds ``(inputs, fn)`` from a generator: ``inputs`` are the
+# float64 arrays the op differentiates with respect to, ``fn`` maps Tensors
+# over them to the op's output.  Integer arguments (indices, targets,
+# segment ids) are closed over, so both dtype checks see the same call.
+def _conv1d_case(rng):
+    x = rng.standard_normal((2, 5, 3))
+    w = rng.standard_normal((4, 3, 3)) * 0.5
+    b = rng.standard_normal(4)
+    return [x, w, b], lambda x, w, b: F.conv1d(x, w, b, padding=1)
+
+
+def _piecewise_max_pool_case(rng):
+    segments = np.array([[0, 0, 1, 1, 2, 2], [0, 1, 1, -1, -1, -1]])
+    return [rng.standard_normal((2, 6, 3))], lambda x: F.piecewise_max_pool(x, segments)
+
+
+def _max_pool_sequence_case(rng):
+    mask = np.array([[True, True, True, False], [True, False, False, False]])
+    return [rng.standard_normal((2, 4, 3))], lambda x: F.max_pool_sequence(x, mask=mask)
+
+
+def _gather_rows_case(rng):
+    indices = np.array([[0, 2, 2], [3, 1, 0]])  # duplicates accumulate
+    # Squared, so the upstream gradient reaching the scatter-add depends on x.
+    return [rng.standard_normal((4, 3))], lambda x: (
+        F.gather_rows(x, indices) * F.gather_rows(x, indices)
+    )
+
+
+def _softmax_case(rng):
+    return [rng.standard_normal((2, 4))], lambda x: F.softmax(x, axis=-1)
+
+
+def _cross_entropy_case(rng):
+    targets = np.array([0, 2, 4, 1])
+    weight = np.array([0.25, 1.0, 1.0, 1.0, 0.5])
+    return [rng.standard_normal((4, 5))], lambda x: F.cross_entropy(x, targets, weight=weight)
+
+
+def _matmul_case(rng):
+    return [rng.standard_normal((3, 4)), rng.standard_normal((4, 2))], lambda a, b: a @ b
+
+
+OP_CASES = {
+    "conv1d": _conv1d_case,
+    "piecewise_max_pool": _piecewise_max_pool_case,
+    "max_pool_sequence": _max_pool_sequence_case,
+    "gather_rows": _gather_rows_case,
+    "softmax": _softmax_case,
+    "cross_entropy": _cross_entropy_case,
+    "matmul": _matmul_case,
+}
+
+#: float32 forward vs float64 forward, elementwise: float32 carries ~7
+#: significant digits and these ops sum at most a few dozen products.
+FLOAT32_RTOL = 1e-5
+FLOAT32_ATOL = 1e-6
+
+
+@pytest.mark.parametrize("op", sorted(OP_CASES))
+class TestOpDtypeTable:
+    def test_float64_gradcheck(self, op, gradcheck):
+        rng = np.random.default_rng(sorted(OP_CASES).index(op))
+        arrays, fn = OP_CASES[op](rng)
+        tensors = [Tensor(array, requires_grad=True) for array in arrays]
+        coefficients = rng.standard_normal(fn(*tensors).shape)
+
+        def loss():
+            for tensor in tensors:
+                tensor.grad = None
+            return (fn(*tensors) * Tensor(coefficients)).sum()
+
+        loss().backward()
+        analytic = [tensor.grad.copy() for tensor in tensors]
+        for tensor, grad in zip(tensors, analytic):
+            numeric = gradcheck(lambda: float(loss().data), tensor.data)
+            np.testing.assert_allclose(grad, numeric, rtol=1e-5, atol=1e-8)
+
+    def test_float32_forward_matches_float64(self, op):
+        rng = np.random.default_rng(sorted(OP_CASES).index(op))
+        arrays, fn = OP_CASES[op](rng)
+        reference = fn(*[Tensor(array) for array in arrays]).data
+        with default_dtype(np.float32):
+            out = fn(*[Tensor(array.astype(np.float32)) for array in arrays]).data
+        # No silent upcast: a float32 graph must stay float32.
+        assert out.dtype == np.float32
+        np.testing.assert_allclose(out, reference, rtol=FLOAT32_RTOL, atol=FLOAT32_ATOL)

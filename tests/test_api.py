@@ -62,15 +62,16 @@ class TestSessionLifecycle:
         with pytest.raises(UsageError, match="checkpointable"):
             session.save_checkpoint(tmp_path / "ckpt", method)
 
-    def test_train_backend_pin_bypasses_method_cache(self, tiny_profile):
+    def test_train_dtype_bypasses_method_cache(self, tiny_profile):
         session = Session(profile=tiny_profile)
         cached_method, _ = session.train("pcnn")
         assert session.train("pcnn")[0] is cached_method  # per-method cache
-        fast_method, fast_eval = session.train("pcnn", backend="fast")
-        # A pinned backend trains fresh (different dtype policy) and must
-        # not overwrite or reuse the cached reference-trained method.
-        assert fast_method is not cached_method
-        assert 0.0 <= fast_eval.auc <= 1.0
+        assert session.train("pcnn", dtype="float64")[0] is cached_method
+        f32_method, f32_eval = session.train("pcnn", dtype="float32")
+        # Another dtype trains fresh and must not overwrite or reuse the
+        # cached float64-trained method.
+        assert f32_method is not cached_method
+        assert 0.0 <= f32_eval.auc <= 1.0
         assert session.train("pcnn")[0] is cached_method
-        # The context's configured backend is restored afterwards.
-        assert session.context("nyt").training_config.backend is None
+        # The context's configured dtype is restored afterwards.
+        assert session.context("nyt").training_config.dtype == "float64"

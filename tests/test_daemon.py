@@ -492,6 +492,24 @@ class TestHotReload:
         # The swap captured different service objects per batch.
         assert runner.batches[0][0] is not runner.batches[1][0]
 
+    def test_float32_daemon_stays_float32_after_reload(self, nyt_context, checkpoints):
+        """``reload`` rebuilds the service at the daemon's serving dtype."""
+        requests = requests_from_context(nyt_context, 3)
+        expected = PredictionService.from_checkpoint(
+            checkpoints["pcnn_att"], dtype="float32"
+        ).predict_batch(requests)
+        service = PredictionService.from_checkpoint(checkpoints["pa_tmr"], dtype="float32")
+        config = DaemonConfig(max_batch_size=1, max_wait_ms=0.0)
+        with ServingDaemon(service, config=config) as daemon:
+            assert daemon.stats()["dtype"] == "float32"
+            daemon.reload(checkpoints["pcnn_att"])
+            assert daemon.service.dtype == "float32"
+            assert daemon.service.model.parameter_dtype() == np.float32
+            assert daemon.stats()["dtype"] == "float32"
+            results = [daemon.predict(r, timeout=30.0) for r in requests]
+        for result, want in zip(results, expected):
+            np.testing.assert_array_equal(result.probabilities, want.probabilities)
+
     def test_failed_reload_keeps_old_service(self, services, tmp_path):
         service = services("pa_tmr")
         with ServingDaemon(service, config=DaemonConfig(max_wait_ms=0.0)) as daemon:

@@ -196,12 +196,12 @@ class TestTrainServeWorkflow:
         assert cli.main(["serve", "--checkpoint", str(checkpoint),
                          "--requests", str(bad)]) == 2
 
-    def test_train_backend_flag_pins_fast_training(self, tmp_path, capsys):
-        """``train --backend fast`` produces a servable float64 checkpoint."""
+    def test_train_dtype_flag_trains_float32(self, tmp_path, capsys):
+        """``train --dtype float32`` produces a servable float64 checkpoint."""
         checkpoint = tmp_path / "ckpt"
         code = cli.main(
             ["train", "--method", "pcnn_att", "--dataset", "nyt", "--profile", "tiny",
-             "--seed", "0", "--epochs", "1", "--backend", "fast",
+             "--seed", "0", "--epochs", "1", "--dtype", "float32",
              "--checkpoint", str(checkpoint)]
         )
         assert code == 0
@@ -212,13 +212,18 @@ class TestTrainServeWorkflow:
         for param in model.parameters():
             assert param.data.dtype == np.float64
 
-    def test_train_backend_flag_rejects_unknown(self, tmp_path, capsys):
-        code = cli.main(
-            ["train", "--method", "pcnn_att", "--profile", "tiny",
-             "--backend", "warp-drive", "--checkpoint", str(tmp_path / "ckpt")]
-        )
-        assert code == 2
-        assert "warp-drive" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["train", "--method", "pcnn_att", "--profile", "tiny"],
+            ["serve", "--requests", "requests.json"],
+        ],
+    )
+    def test_dtype_flag_rejects_unknown(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(argv + ["--dtype", "float16", "--checkpoint", str(tmp_path / "ckpt")])
+        assert excinfo.value.code == 2
+        assert "float16" in capsys.readouterr().err
 
     def test_serve_missing_checkpoint_exits_1(self, tmp_path, capsys):
         requests = tmp_path / "requests.json"

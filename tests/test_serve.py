@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 import repro
+from repro import nn
+from repro.batch.inference import _conv_window_gather, _segment_max
 from repro.corpus.bags import SentenceExample
-from repro.exceptions import DataError
+from repro.exceptions import ConfigurationError, DataError
 from repro.experiments.pipeline import train_and_evaluate
 from repro.serve import (
     PredictionRequest,
@@ -75,6 +77,71 @@ class TestBatchedForwardParity:
         batched_predict_probabilities(model, nyt_context.test_encoded[:2])
         assert model.training
         model.eval()
+
+
+class TestInferenceKernels:
+    def test_conv_window_gather_matches_conv1d(self):
+        # im2col + matmul must reproduce the autograd conv bit-for-bit.
+        from repro.nn import functional as F
+
+        rng = np.random.default_rng(1)
+        conv = nn.Conv1d(4, 6, kernel_size=3, rng=rng)
+        x = rng.standard_normal((2, 9, 4))
+        expected = F.conv1d(nn.Tensor(x), conv.weight, conv.bias, padding=1).data
+
+        padded = np.zeros((2, 9 + 2, 4))
+        padded[:, 1:10, :] = x
+        col = _conv_window_gather(padded, window=3)
+        w_mat = conv.weight.data.reshape(6, -1)
+        got = np.matmul(col, w_mat.T) + conv.bias.data
+        np.testing.assert_array_equal(got, expected)
+
+    def test_segment_max_matches_naive(self):
+        rng = np.random.default_rng(2)
+        x = rng.standard_normal((3, 6, 2))
+        segments = np.array(
+            [[0, 0, 1, 1, 2, 2], [0, 1, 2, -1, -1, -1], [1, 1, 1, -1, -1, -1]]
+        )
+        got = _segment_max(x, segments, num_segments=3)
+        assert got.shape == (3, 6)
+        for row in range(3):
+            for seg in range(3):
+                positions = np.flatnonzero(segments[row] == seg)
+                expected = x[row, positions].max(axis=0) if positions.size else np.zeros(2)
+                np.testing.assert_array_equal(got[row, seg * 2:(seg + 1) * 2], expected)
+
+
+class TestServeDtype:
+    """``dtype="float32"`` serves within 1e-5 of float64 with the same labels."""
+
+    @pytest.mark.parametrize("method_name", PARITY_METHODS)
+    def test_float32_close_to_float64_same_argmax(self, nyt_context, method_name):
+        method, _ = train_and_evaluate(nyt_context, method_name)
+        model = method.model
+        bags = nyt_context.test_encoded[:24]
+        reference = PredictionService.from_context(nyt_context, model).predict_encoded(bags)
+        f32_service = PredictionService.from_context(nyt_context, model, dtype="float32")
+        f32 = f32_service.predict_encoded(bags)
+
+        assert f32.dtype == np.float64  # float64 final reduction
+        np.testing.assert_allclose(f32, reference, atol=1e-5)
+        assert np.array_equal(f32.argmax(axis=1), reference.argmax(axis=1))
+        # The service casts a private copy; the caller's model is untouched.
+        assert f32_service.model is not model
+        assert f32_service.model.parameter_dtype() == np.float32
+        assert model.parameter_dtype() == np.float64
+
+    def test_float64_serves_the_callers_model(self, nyt_context, trained_pa_tmr):
+        model = trained_pa_tmr[0].model
+        service = PredictionService.from_context(nyt_context, model)
+        assert service.dtype == "float64"
+        assert service.model is model  # no cast, no copy
+
+    def test_unknown_dtype_rejected(self, nyt_context, trained_pa_tmr):
+        with pytest.raises(ConfigurationError, match="float16"):
+            PredictionService.from_context(
+                nyt_context, trained_pa_tmr[0].model, dtype="float16"
+            )
 
 
 class TestPredictionService:

@@ -1,22 +1,17 @@
-"""Backend-accelerated training (:mod:`repro.training.trainer` + fused optim).
+"""Training compute dtype (:mod:`repro.training.trainer` + fused optim).
 
-Four contracts are pinned here:
+Two contracts are pinned here:
 
 * **Fused-optimizer bit-parity** — the in-place ``out=`` update sequences in
   :mod:`repro.nn.optim` produce exactly the bits of the historical
   per-temporary formulas, for SGD (momentum/weight-decay), Adam, Adagrad and
-  gradient clipping.
-* **Ambient parity** — selecting the fast backend ambiently
-  (``REPRO_BACKEND=fast`` / :func:`set_backend`) swaps kernels only: a full
-  :meth:`Trainer.fit` run is bit-identical to the reference run.
-* **Pinned-fast parity** — ``TrainingConfig(backend="fast")`` trains the
+  gradient clipping, and stop allocating scratch after the first step.
+* **Float32 parity** — ``TrainingConfig(dtype="float32")`` trains the
   forward/backward graph in float32 against float64 master weights; final
-  losses and parameters match the reference within an explicit tolerance,
+  losses and parameters match the float64 run within an explicit tolerance,
   with identical argmax predictions from the resulting checkpoint and
   identical early-stopping decisions, for every encoder/aggregator/head
   variant.
-* **Steady-state allocation** — with workspace reuse, no new scratch buffer
-  is allocated after the first epoch.
 """
 
 from __future__ import annotations
@@ -31,10 +26,7 @@ from repro.baselines.registry import build_method
 from repro.batch import batched_predict_probabilities
 from repro.config import TrainingConfig
 from repro.core.model import NeuralREModel
-from repro.exceptions import ConfigurationError, GraphError
-from repro.graph.line import LineConfig, LineEmbeddingTrainer
-from repro.graph.proximity import EntityProximityGraph
-from repro.nn.backend import use_backend
+from repro.exceptions import ConfigurationError
 from repro.nn.module import Parameter
 from repro.training.callbacks import EarlyStopping
 from repro.training.trainer import Trainer
@@ -58,7 +50,7 @@ def _build_model(context, method_name):
     ).model
 
 
-def _fit(context, method_name, bags, backend=None, epochs=2, early_stopping=None):
+def _fit(context, method_name, bags, dtype="float64", epochs=2, early_stopping=None):
     model = _build_model(context, method_name)
     config = TrainingConfig(
         epochs=epochs,
@@ -66,7 +58,7 @@ def _fit(context, method_name, bags, backend=None, epochs=2, early_stopping=None
         learning_rate=0.01,
         optimizer="adam",
         seed=0,
-        backend=backend,
+        dtype=dtype,
     )
     trainer = Trainer(model, context.num_relations, config)
     result = trainer.fit(bags, early_stopping=early_stopping)
@@ -191,32 +183,14 @@ class TestFusedOptimizerBitParity:
 
 
 # ---------------------------------------------------------------------- #
-# Ambient fast backend: kernels only, bit-identical
+# Float32 training: float32 graph, float64 masters, tolerance parity
 # ---------------------------------------------------------------------- #
-class TestAmbientFastBitIdentical:
-    @pytest.mark.parametrize("method_name", ["pa_tmr", "gru_att"])
-    def test_fit_bit_identical_under_ambient_fast(self, nyt_context, method_name):
-        bags = nyt_context.train_encoded[:24]
-        reference, ref_model, _ = _fit(nyt_context, method_name, bags)
-        with use_backend("fast"):
-            fast, fast_model, trainer = _fit(nyt_context, method_name, bags)
-        assert trainer.backend.name == "fast"
-        # Ambient selection must not engage the dtype policy.
-        assert trainer.activation_dtype == np.dtype(np.float64)
-        np.testing.assert_array_equal(fast.batch_losses, reference.batch_losses)
-        for expected, actual in zip(ref_model.parameters(), fast_model.parameters()):
-            np.testing.assert_array_equal(actual.data, expected.data)
-
-
-# ---------------------------------------------------------------------- #
-# Pinned fast backend: float32 graph, float64 masters, tolerance parity
-# ---------------------------------------------------------------------- #
-class TestPinnedFastParity:
+class TestFloat32TrainParity:
     @pytest.mark.parametrize("method_name", PARITY_METHODS)
-    def test_losses_params_and_argmax_match_reference(self, nyt_context, method_name):
+    def test_losses_params_and_argmax_match_float64(self, nyt_context, method_name):
         bags = nyt_context.train_encoded[:24]
         reference, ref_model, _ = _fit(nyt_context, method_name, bags)
-        fast, fast_model, trainer = _fit(nyt_context, method_name, bags, backend="fast")
+        fast, fast_model, trainer = _fit(nyt_context, method_name, bags, dtype="float32")
         assert trainer.activation_dtype == np.dtype(np.float32)
         # The trained model holds the float64 masters, not the f32 shadow.
         for param in fast_model.parameters():
@@ -235,7 +209,7 @@ class TestPinnedFastParity:
 
     def test_checkpoint_roundtrip_preserves_predictions(self, nyt_context, tmp_path):
         bags = nyt_context.train_encoded[:24]
-        _, model, _ = _fit(nyt_context, "pa_tmr", bags, backend="fast")
+        _, model, _ = _fit(nyt_context, "pa_tmr", bags, dtype="float32")
         model.save(tmp_path / "ckpt")
         restored = NeuralREModel.load(tmp_path / "ckpt")
         test_bags = nyt_context.test_encoded[:12]
@@ -244,7 +218,7 @@ class TestPinnedFastParity:
             batched_predict_probabilities(model, test_bags),
         )
 
-    def test_early_stopping_decisions_match_reference(self, nyt_context):
+    def test_early_stopping_decisions_match_float64(self, nyt_context):
         bags = nyt_context.train_encoded[:24]
         for patience, min_delta in ((2, 0.0), (1, 100.0)):
             reference, _, _ = _fit(
@@ -252,7 +226,7 @@ class TestPinnedFastParity:
                 early_stopping=EarlyStopping(patience=patience, min_delta=min_delta),
             )
             fast, _, _ = _fit(
-                nyt_context, "pa_tmr", bags, backend="fast", epochs=4,
+                nyt_context, "pa_tmr", bags, dtype="float32", epochs=4,
                 early_stopping=EarlyStopping(patience=patience, min_delta=min_delta),
             )
             assert fast.stopped_early == reference.stopped_early
@@ -262,121 +236,50 @@ class TestPinnedFastParity:
         bags = nyt_context.train_encoded[:8]
         model = _build_model(nyt_context, "pa_tmr")
         config = TrainingConfig(
-            epochs=1, batch_size=4, seed=0, backend="fast", batched_training=False
+            epochs=1, batch_size=4, seed=0, dtype="float32", batched_training=False
         )
         with caplog.at_level(logging.WARNING, logger="repro.training"):
             trainer = Trainer(model, nyt_context.num_relations, config)
         assert trainer.activation_dtype == np.dtype(np.float64)
-        assert any("dtype policy" in record.message for record in caplog.records)
-
-
-# ---------------------------------------------------------------------- #
-# Steady-state workspace allocation
-# ---------------------------------------------------------------------- #
-class TestWorkspaceSteadyState:
-    def test_no_new_scratch_buffers_after_first_epoch(self, nyt_context):
-        bags = nyt_context.train_encoded[:24]
-        model = _build_model(nyt_context, "pa_tmr")
-        config = TrainingConfig(
-            epochs=1, batch_size=7, seed=0, backend="fast", shuffle=False
+        assert any(
+            "float32 training requested" in record.getMessage()
+            for record in caplog.records
         )
-        trainer = Trainer(model, nyt_context.num_relations, config)
-        trainer.fit(bags)
-        stats = trainer.workspace_stats()
-        assert stats is not None and stats["allocations"] > 0
-        trainer.fit(bags)  # identical second epoch (shuffle=False)
-        after = trainer.workspace_stats()
-        assert after["allocations"] == stats["allocations"]
-        assert after["nbytes"] == stats["nbytes"]
-        assert after["high_water_nbytes"] == stats["high_water_nbytes"]
 
 
 # ---------------------------------------------------------------------- #
 # Logging and config validation
 # ---------------------------------------------------------------------- #
 class TestTrainerLogging:
-    def test_epoch_log_names_backend_and_dtypes(self, nyt_context, caplog):
+    def test_epoch_log_names_dtypes(self, nyt_context, caplog):
         bags = nyt_context.train_encoded[:8]
         with caplog.at_level(logging.DEBUG, logger="repro.training"):
-            _fit(nyt_context, "pa_tmr", bags, backend="fast", epochs=1)
+            _fit(nyt_context, "pa_tmr", bags, dtype="float32", epochs=1)
         messages = [record.getMessage() for record in caplog.records]
         epoch_lines = [m for m in messages if "mean loss" in m]
         assert epoch_lines, f"no epoch log line found in {messages}"
-        assert "backend=fast" in epoch_lines[0]
         assert "params=float64" in epoch_lines[0]
         assert "activations=float32" in epoch_lines[0]
-        assert "scratch=" in epoch_lines[0]
 
-    def test_reference_epoch_log_reports_float64(self, nyt_context, caplog):
+    def test_float64_epoch_log_reports_float64(self, nyt_context, caplog):
         bags = nyt_context.train_encoded[:8]
         with caplog.at_level(logging.DEBUG, logger="repro.training"):
-            _fit(nyt_context, "pa_tmr", bags, backend="reference", epochs=1)
+            _fit(nyt_context, "pa_tmr", bags, epochs=1)
         epoch_lines = [
             record.getMessage() for record in caplog.records
             if "mean loss" in record.getMessage()
         ]
-        assert "backend=reference" in epoch_lines[0]
         assert "activations=float64" in epoch_lines[0]
 
 
-class TestTrainingConfigBackend:
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigurationError):
-            TrainingConfig(backend="warp-drive").validate()
+class TestTrainingConfigDtype:
+    def test_unknown_dtype_rejected(self):
+        with pytest.raises(ConfigurationError, match="float16"):
+            TrainingConfig(dtype="float16").validate()
 
-    def test_known_backends_accepted(self):
-        for name in ("fast", "reference"):
-            config = TrainingConfig(backend=name)
+    def test_known_dtypes_accepted(self):
+        for name in ("float32", "float64"):
+            config = TrainingConfig(dtype=name)
             config.validate()
-            assert config.backend == name
-        TrainingConfig().validate()
-
-
-# ---------------------------------------------------------------------- #
-# LINE embedding trainer backend knob
-# ---------------------------------------------------------------------- #
-class TestLineBackend:
-    @pytest.fixture()
-    def square_graph(self):
-        counts = {("a", "b"): 3, ("b", "c"): 2, ("c", "d"): 4, ("d", "a"): 1}
-        return EntityProximityGraph.from_counts(counts)
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(GraphError):
-            LineConfig(backend="warp-drive")
-
-    def test_pinned_fast_trains_float32_tables(self, square_graph):
-        config = LineConfig(
-            embedding_dim=8, epochs=5, batch_edges=4, seed=0, backend="fast"
-        )
-        trainer = LineEmbeddingTrainer(square_graph, config)
-        trainer.train()
-        # The public matrices are always float64 at the boundary.
-        matrix = trainer.embedding_matrix()
-        assert matrix.dtype == np.float64
-        assert np.isfinite(matrix).all()
-
-    def test_pinned_fast_close_to_reference(self, square_graph):
-        reference = LineEmbeddingTrainer(
-            square_graph, LineConfig(embedding_dim=8, epochs=5, batch_edges=4, seed=0)
-        )
-        reference.train()
-        fast = LineEmbeddingTrainer(
-            square_graph,
-            LineConfig(embedding_dim=8, epochs=5, batch_edges=4, seed=0, backend="fast"),
-        )
-        fast.train()
-        np.testing.assert_allclose(
-            fast.embedding_matrix(), reference.embedding_matrix(), rtol=0, atol=1e-3
-        )
-
-    def test_ambient_fast_bit_identical(self, square_graph):
-        config = LineConfig(embedding_dim=8, epochs=5, batch_edges=4, seed=0)
-        reference = LineEmbeddingTrainer(square_graph, config)
-        reference.train()
-        with use_backend("fast"):
-            ambient = LineEmbeddingTrainer(square_graph, config)
-            ambient.train()
-        np.testing.assert_array_equal(
-            ambient.embedding_matrix(), reference.embedding_matrix()
-        )
+            assert config.dtype == name
+        assert TrainingConfig().dtype == "float64"
