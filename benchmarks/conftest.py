@@ -5,7 +5,10 @@ entity embeddings and training every compared method — happens once per
 pytest session in the fixtures below.  The timed benchmark bodies then
 measure the per-experiment computational kernels (evaluation, bucketing,
 nearest-neighbour queries, dataset generation, ...), and every benchmark
-writes the table/figure it regenerates to ``benchmarks/results/``.
+writes the table/figure it regenerates to ``benchmarks/latest/``.  That
+directory is git-ignored, so a test run leaves the checkout clean; the
+committed record in ``benchmarks/results/`` is refreshed by copying the
+reports over by hand (``cp benchmarks/latest/*.txt benchmarks/results/``).
 
 Set ``REPRO_BENCH_PROFILE=tiny`` to run the whole harness in a couple of
 minutes (e.g. for CI smoke checks); the default ``small`` profile is the
@@ -29,7 +32,7 @@ from repro.config import ScaleProfile  # noqa: E402
 from repro.experiments import table4 as table4_module  # noqa: E402
 from repro.experiments.pipeline import prepare_context  # noqa: E402
 
-RESULTS_DIR = Path(__file__).resolve().parent / "results"
+RESULTS_DIR = Path(__file__).resolve().parent / "latest"
 SEED = 0
 
 
@@ -56,7 +59,7 @@ def peak_rss_mb() -> float:
 
 
 def write_report(name: str, content: str) -> Path:
-    """Persist a regenerated table/figure next to the benchmarks.
+    """Persist a regenerated table/figure under ``benchmarks/latest/``.
 
     Every report carries a footer with the machine's cpu count and the
     peak RSS so the recorded numbers always come with the compute and

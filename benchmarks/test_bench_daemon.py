@@ -8,7 +8,7 @@ throughput must be at least the sequential single-request path's — with the
 batch-occupancy histogram proving the speedup really comes from coalescing
 (mean occupancy > 1), not from measurement noise.
 
-Writes ``results/serve_daemon.txt``: throughput of both paths, the
+Writes ``latest/serve_daemon.txt``: throughput of both paths, the
 occupancy distribution and the end-to-end latency quantiles under load.
 """
 

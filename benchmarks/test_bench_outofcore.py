@@ -1,6 +1,6 @@
 """Benchmark for the out-of-core corpus engine (format-v3 shard stores).
 
-Three claims are recorded (``results/outofcore.txt``):
+Three claims are recorded (``latest/outofcore.txt``):
 
 1. **Encode fan-out** — ``BagEncoder.encode_store(bags, workers=2)`` against
    the serial vectorized encoder over the same streamed bags.  Parity is

@@ -13,7 +13,7 @@ Three claims are measured:
 3. **Checkpoint cold start** — ``PredictionService.from_checkpoint`` must
    rebuild the exact training-time service (bit-equal predictions) from a
    saved checkpoint directory, and the save/load/first-batch timings are
-   recorded in ``results/serve_cold_start.txt``.
+   recorded in ``latest/serve_cold_start.txt``.
 """
 
 from __future__ import annotations

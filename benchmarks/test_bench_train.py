@@ -1,4 +1,4 @@
-"""Benchmark for the batched training engine (:mod:`repro.batch.training`).
+"""Benchmark for the batched training engine (:mod:`repro.batch.forward`).
 
 Two claims measured:
 

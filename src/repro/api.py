@@ -15,7 +15,7 @@ training/serving helpers, and exposes the full model lifecycle::
     session.save_checkpoint("./ckpt", method)       # versioned checkpoint
     service = repro.api.load_service("./ckpt")      # cold-start serving
 
-The legacy global still works (the runner and old scripts use it); sessions
+The legacy global still works (the CLI and old scripts use it); sessions
 never touch it except for the scoped install around each experiment run.
 """
 

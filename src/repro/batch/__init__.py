@@ -7,27 +7,29 @@ bags into one padded "superbag" and runs the expensive sentence encoding once
 over all sentences, then evaluates the bag-level stages vectorized:
 
 * :mod:`repro.batch.merging` — merge encoded bags into one padded batch;
-* :mod:`repro.batch.training` — autograd-capable training forward
-  (:func:`batched_train_logits`), used by :class:`repro.training.Trainer`
-  for one forward/backward per mini-batch with per-bag-identical losses and
-  gradients (``benchmarks/test_bench_train.py``);
-* :mod:`repro.batch.inference` — gradient-free serving forward
-  (:func:`batched_predict_probabilities`), used by
-  :class:`repro.serve.PredictionService`
-  (``benchmarks/test_bench_serve.py``).
+* :mod:`repro.batch.forward` — the one batched forward.  In training
+  (:func:`batched_train_logits`) it records the autograd graph, and
+  :class:`repro.training.Trainer` runs one forward/backward per mini-batch
+  with per-bag-identical losses and gradients.  For serving
+  (:func:`batched_predict_probabilities`) the same forward runs in eval mode
+  under :func:`repro.nn.no_grad`, with selective attention scoring every
+  relation query, and :class:`repro.serve.PredictionService` calls it.
 
-The :mod:`repro.serve` package re-exports the inference half for backward
-compatibility.
+The per-bag model stays the executable spec both entry points are tested
+against.
 """
 
-from .inference import batched_predict_probabilities
+from .forward import (
+    batched_predict_probabilities,
+    batched_train_logits,
+    supports_batched_training,
+)
 from .merging import (
     MergedBagBatch,
     as_merged_batch,
     merge_encoded_bags,
     merge_store_batch,
 )
-from .training import batched_train_logits, supports_batched_training
 
 __all__ = [
     "MergedBagBatch",

@@ -3,9 +3,8 @@
 The sentence encoders (:mod:`repro.encoders`) treat a bag's sentences as a
 batch dimension, so the sentences of *many* bags can be concatenated into a
 single :class:`~repro.corpus.bags.EncodedBag` and encoded in one vectorized
-pass — the foundation of both the batched serving path
-(:mod:`repro.batch.inference`) and the batched training path
-(:mod:`repro.batch.training`).  Padding is safe by construction:
+pass — the foundation of the one batched forward (:mod:`repro.batch.forward`)
+that both training and serving run.  Padding is safe by construction:
 
 * padding tokens use word id 0 (a zero word vector), position id 0 and
   segment id -1, exactly as in per-bag encoding, so convolution outputs at
@@ -82,14 +81,14 @@ class MergedBagBatch:
     @property
     def sentence_counts(self) -> np.ndarray:
         """Number of sentences per bag, shape ``(num_bags,)``."""
-        return np.diff(self.offsets)
+        return self.offsets[1:] - self.offsets[:-1]
 
     @property
     def bag_widths(self) -> np.ndarray:
         """Each sentence row's own bag width, shape ``(num_sentences,)``.
 
         Columns at or beyond a row's bag width do not exist in the per-bag
-        arrays; both the inference and the training forward zero them out.
+        arrays; the batched forward zeroes them out.
         """
         return np.repeat(self.widths, self.sentence_counts)
 
@@ -242,8 +241,8 @@ def padded_slot_plan(batch: MergedBagBatch):
     Returns ``(bag_of_row, slot_of_row, slot_mask)``: flat sentence row ``j``
     lands at ``[bag_of_row[j], slot_of_row[j]]`` of a
     ``(num_bags, max_sentences)`` padded array, and ``slot_mask`` marks the
-    real slots.  Both the training and the inference forward derive their
-    padded attention layout from this one plan so they can never disagree.
+    real slots.  The training and the prediction-time attention both derive
+    their padded layout from this one plan so they can never disagree.
     """
     counts = batch.sentence_counts
     bag_of_row = np.repeat(np.arange(batch.num_bags), counts)
@@ -264,8 +263,7 @@ def cnn_pooling_mask(
     Marks convolution outputs whose window overlaps a real token, restricted
     to each row's own bag's convolution-output length: the wider merged batch
     introduces positions that do not exist in the per-bag path and must not
-    win the max pooling.  Shared by the batched training and inference
-    forwards so the two can never disagree on encoder outputs.
+    win the max pooling.
     """
     mask = _convolution_mask(batch.merged.mask, out_length, window_size, padding)
     per_bag_out = widths + (out_length - batch.merged.max_length)
@@ -279,8 +277,7 @@ def mutual_relation_matrix(mr_head, batch: MergedBagBatch) -> np.ndarray:
     Entity id -1 marks an entity unknown to the knowledge base; such entities
     use a zero vector, matching the per-bag head's fallback.  A pure function
     of the batch's entity columns and the head's *frozen* entity table (no
-    gradients flow here), shared by the batched training and inference
-    forwards.
+    gradients flow here).
     """
     table = mr_head._entity_vectors
     heads = batch.head_entity_ids

@@ -23,9 +23,6 @@ Exit codes follow the argparse convention: ``0`` success, ``1`` runtime
 failure (corrupt checkpoint, broken data), ``2`` usage errors
 (:class:`repro.exceptions.UsageError` — unknown experiment/method/profile
 names, malformed request files).
-
-The legacy entry point ``python -m repro.experiments.runner`` still works and
-shares this implementation.
 """
 
 from __future__ import annotations

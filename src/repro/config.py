@@ -309,7 +309,7 @@ class ScaleProfile:
     batched_training: bool = True        # vectorized padded-batch training loop
     # Graph-propagation refinement of the entity embeddings (0 = off, the
     # raw-LINE behaviour); forwarded into GraphEmbeddingConfig by
-    # ExperimentConfig.for_profile and settable via the runner CLI.
+    # ExperimentConfig.for_profile and settable via ``python -m repro run``.
     propagation_layers: int = 0
     propagation_alpha: float = 0.5
     # Online serving daemon knobs (repro.serve.daemon), forwarded into

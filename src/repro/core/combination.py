@@ -70,12 +70,14 @@ class ConfidenceCombiner(nn.Module):
             # when extra confidence sources exist, so pass the RE logits
             # through unchanged (squashing them would only hurt the baselines).
             return re_logits
-        combined = F.softmax(re_logits, axis=-1) * self.gamma
+        logits, weights = [re_logits], [self.gamma]
         if self.use_types and type_logits is not None:
-            combined = combined + F.softmax(type_logits, axis=-1) * self.beta
+            logits.append(type_logits)
+            weights.append(self.beta)
         if self.use_mutual_relations and mr_logits is not None:
-            combined = combined + F.softmax(mr_logits, axis=-1) * self.alpha
-        return combined * self.scale + self.bias
+            logits.append(mr_logits)
+            weights.append(self.alpha)
+        return F.weighted_softmax_sum(logits, weights) * self.scale + self.bias
 
     def component_weights(self) -> dict:
         """Current values of alpha/beta/gamma (for inspection and reports)."""

@@ -138,8 +138,9 @@ class NeuralREModel(nn.Module):
         was_training = self.training
         self.eval()
         try:
-            logits = self.forward(bag, relation_id=None)
-            probabilities = F.softmax(logits, axis=-1).data
+            with nn.no_grad():
+                logits = self.forward(bag, relation_id=None)
+                probabilities = F.softmax(logits, axis=-1).data
         finally:
             self.train(was_training)
         return np.asarray(probabilities, dtype=np.float64)

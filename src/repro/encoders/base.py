@@ -16,6 +16,7 @@ import numpy as np
 
 from .. import nn
 from ..corpus.bags import EncodedBag
+from ..nn import functional as F
 from ..nn.tensor import Tensor
 
 
@@ -41,12 +42,21 @@ class WordPositionEmbedder(nn.Module):
     def output_dim(self) -> int:
         return self.word_dim + 2 * self.position_dim
 
-    def forward(self, bag: EncodedBag) -> Tensor:
-        """Embed every sentence of a bag: (num_sentences, max_len, output_dim)."""
-        words = self.word_embedding(bag.token_ids)
-        head_positions = self.head_position_embedding(bag.head_position_ids)
-        tail_positions = self.tail_position_embedding(bag.tail_position_ids)
-        return nn.concatenate([words, head_positions, tail_positions], axis=2)
+    def forward(self, bag: EncodedBag, keep: Optional[np.ndarray] = None) -> Tensor:
+        """Embed every sentence of a bag: (num_sentences, max_len, output_dim).
+
+        ``keep`` (num_sentences, max_len) optionally marks the token columns
+        to embed; the others embed to zero with zero gradient.
+        """
+        return F.concat_embedding_lookup(
+            [
+                self.word_embedding.weight,
+                self.head_position_embedding.weight,
+                self.tail_position_embedding.weight,
+            ],
+            [bag.token_ids, bag.head_position_ids, bag.tail_position_ids],
+            keep=keep,
+        )
 
 
 class SentenceEncoder(nn.Module):

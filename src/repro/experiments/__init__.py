@@ -1,6 +1,6 @@
 """Experiment modules — one per table / figure of the paper's evaluation.
 
-Every module exposes three layers:
+Every module exposes two layers:
 
 * ``run(...)`` — the raw computation, returning plain data structures, and
   ``format_report(...)`` rendering the same rows/series the paper reports
@@ -8,11 +8,9 @@ Every module exposes three layers:
 * ``run_experiment(context_or_profile=None, seed=None, **params)`` — the
   uniform entry point registered in :mod:`repro.experiments.registry`,
   returning a structured :class:`~repro.experiments.results.ExperimentResult`
-  (metrics + rendered report + provenance);
-* ``main(...)`` — a thin legacy shim that prints the report.
+  (metrics + rendered report + provenance).
 
-``python -m repro run <experiment>`` (and the legacy
-``python -m repro.experiments.runner``) dispatch by name through the
+``python -m repro run <experiment>`` dispatches by name through the
 registry.
 
 =============  =======================================================

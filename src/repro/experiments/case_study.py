@@ -151,13 +151,3 @@ def run_experiment(
         },
     }
     return metrics, format_report(results)
-
-
-def main(profile: Optional[ScaleProfile] = None, seed: int = 0) -> str:
-    result = run_experiment(profile, seed=seed)
-    print(result.report)
-    return result.report
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -101,13 +101,3 @@ def run_experiment(profile, seed, context=None, edges: Sequence[int] = DEFAULT_E
         },
     }
     return metrics, format_report(histograms)
-
-
-def main(profile: Optional[ScaleProfile] = None, seed: int = 0) -> str:
-    result = run_experiment(profile, seed=seed)
-    print(result.report)
-    return result.report
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

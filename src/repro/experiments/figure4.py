@@ -114,13 +114,3 @@ def run_experiment(
         for dataset, method_curves in curves.items()
     }
     return metrics, format_report(curves, recall_points)
-
-
-def main(profile: Optional[ScaleProfile] = None, seed: int = 0) -> str:
-    result = run_experiment(profile, seed=seed)
-    print(result.report)
-    return result.report
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -96,13 +96,3 @@ def run_experiment(
         "fraction_improved": fraction_improved(results),
     }
     return metrics, format_report(results, dataset=dataset)
-
-
-def main(profile: Optional[ScaleProfile] = None, seed: int = 0, dataset: str = "nyt") -> str:
-    result = run_experiment(profile, seed=seed, dataset=dataset)
-    print(result.report)
-    return result.report
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

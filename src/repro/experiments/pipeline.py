@@ -16,13 +16,13 @@ Steps 2-3 are pure functions of (dataset, profile, seed, stage config), so
 :func:`prepare_context` can persist them through a
 :class:`repro.utils.artifacts.ArtifactCache`: pass ``cache=``/``cache_dir=``
 explicitly, or install a process-wide default with :func:`set_default_cache`
-(what ``python -m repro.experiments.runner --cache-dir ...`` does) so every
+(what ``python -m repro run --cache-dir ...`` does) so every
 experiment and the serving layer share one set of artifacts.
 
 Step 4 trains with the vectorized padded-batch engine (:mod:`repro.batch`)
 by default — one forward/backward per mini-batch, identical results to the
 per-bag loop.  Opt out per context via ``ScaleProfile.batched_training=False``
-(``--per-bag-training`` on the CLI runner).
+(``--per-bag-training`` on ``python -m repro run``).
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ def set_default_cache(cache: Optional[ArtifactCache]) -> Optional[ArtifactCache]
     """Install (or clear, with ``None``) the default artifact cache.
 
     Experiment modules call :func:`prepare_context` with no ``cache``
-    argument; installing a default here lets a driver (the CLI runner, the
+    argument; installing a default here lets a caller (the CLI, the
     benchmark harness, a serving process) turn on artifact reuse for every
     context built afterwards.  Returns the previously installed cache.
     """

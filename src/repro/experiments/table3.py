@@ -66,14 +66,3 @@ def run_experiment(profile, seed, context=None):
     """Uniform entry point: parameter settings as (metrics, report)."""
     settings = run(profile, seed=seed)
     return {"settings": settings}, format_report(settings)
-
-
-def main(profile: Optional[ScaleProfile] = None, seed: int = 0) -> str:
-    """Print and return the Table III report (legacy shim; seed is recorded)."""
-    result = run_experiment(profile, seed=seed)
-    print(result.report)
-    return result.report
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

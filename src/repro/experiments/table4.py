@@ -134,17 +134,3 @@ def run_experiment(
         for dataset, method_results in results.items()
     }
     return metrics, format_report(results)
-
-
-def main(
-    profile: Optional[ScaleProfile] = None,
-    seed: int = 0,
-    methods: Sequence[str] = TABLE4_METHODS,
-) -> str:
-    result = run_experiment(profile, seed=seed, methods=methods)
-    print(result.report)
-    return result.report
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

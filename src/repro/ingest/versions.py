@@ -25,7 +25,7 @@ import os
 import shutil
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from ..exceptions import DataError
 from ..utils.logging import get_logger
@@ -49,8 +49,24 @@ MANIFEST_NAME = "manifest.json"
 CHECKPOINT_MEMBER = "checkpoint"
 
 
+#: Name prefixes of a publisher's in-flight files; each name ends in
+#: ``-<pid>`` of the publishing process.
+STAGING_PREFIXES = (".staging-", f".{CURRENT_POINTER}.tmp-")
+
+
 def _version_dir_name(version: int) -> str:
     return f"v{version:06d}"
+
+
+def _pid_alive(pid: int) -> bool:
+    """Whether a process with this pid exists (POSIX signal-0 probe)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:  # alive, owned by another user
+        return True
+    return True
 
 
 @dataclass(frozen=True)
@@ -87,17 +103,30 @@ class ArtifactVersionStore:
     # ------------------------------------------------------------------ #
     # Reading
     # ------------------------------------------------------------------ #
-    def _version_ids(self) -> List[int]:
-        ids = []
+    def _scan(self) -> Tuple[List[int], List[Path]]:
+        """Sealed version ids, oldest first, and orphaned staging files.
+
+        An orphan is a staging directory or ``CURRENT`` temp file left by a
+        publisher that died mid-publish: its name's pid is no live process.
+        """
+        ids, orphans = [], []
         for entry in self.root.iterdir():
+            name = entry.name
             if (
                 entry.is_dir()
-                and entry.name.startswith("v")
-                and entry.name[1:].isdigit()
+                and name.startswith("v")
+                and name[1:].isdigit()
                 and (entry / MANIFEST_NAME).exists()
             ):
-                ids.append(int(entry.name[1:]))
-        return sorted(ids)
+                ids.append(int(name[1:]))
+            elif name.startswith(STAGING_PREFIXES):
+                pid = name.rsplit("-", 1)[-1]
+                if pid.isdigit() and not _pid_alive(int(pid)):
+                    orphans.append(entry)
+        return sorted(ids), orphans
+
+    def _version_ids(self) -> List[int]:
+        return self._scan()[0]
 
     def _info(self, version: int) -> VersionInfo:
         path = self.root / _version_dir_name(version)
@@ -207,11 +236,19 @@ class ArtifactVersionStore:
         """Delete the oldest versions beyond the ``keep_last`` most recent.
 
         The version the CURRENT pointer names is never deleted, whatever
-        ``keep_last`` says.  Returns the number of versions removed.
+        ``keep_last`` says.  Staging files of publishers that died
+        mid-publish are deleted too; those of a live process never are.
+        Returns the number of versions removed.
         """
         if keep_last < 1:
             raise ValueError("keep_last must be >= 1")
-        ids = self._version_ids()
+        ids, orphans = self._scan()
+        for orphan in orphans:
+            if orphan.is_dir():
+                shutil.rmtree(orphan, ignore_errors=True)
+            else:
+                orphan.unlink(missing_ok=True)
+            logger.info("removed orphaned staging file %s", orphan.name)
         current = self.current()
         current_id = current.version if current is not None else None
         doomed = [

@@ -24,6 +24,7 @@ from .tensor import (
     concatenate,
     default_dtype,
     get_default_dtype,
+    no_grad,
     ones,
     set_default_dtype,
     stack,
@@ -43,6 +44,7 @@ __all__ = [
     "concatenate",
     "stack",
     "where",
+    "no_grad",
     "set_default_dtype",
     "get_default_dtype",
     "Module",

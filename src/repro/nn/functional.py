@@ -18,11 +18,15 @@ from .tensor import Tensor, _unbroadcast
 # ---------------------------------------------------------------------- #
 # Softmax family
 # ---------------------------------------------------------------------- #
+def softmax_array(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Numerically stable softmax of a plain array (the values of :func:`softmax`)."""
+    exp = np.exp(x - x.max(axis=axis, keepdims=True))
+    return exp / exp.sum(axis=axis, keepdims=True)
+
+
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable softmax along ``axis``."""
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    exp = np.exp(shifted)
-    out_data = exp / exp.sum(axis=axis, keepdims=True)
+    out_data = softmax_array(x.data, axis)
 
     def backward(grad: np.ndarray) -> None:
         # dL/dx = s * (grad - sum(grad * s))
@@ -30,6 +34,29 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
         x._accumulate(out_data * (grad - dot))
 
     return Tensor._make(out_data, (x,), backward)
+
+
+def weighted_softmax_sum(
+    logits: Sequence[Tensor], weights: Sequence[Tensor], axis: int = -1
+) -> Tensor:
+    """``softmax(logits[0]) * weights[0] + softmax(logits[1]) * weights[1] + ...``
+
+    One op with the values and gradients of that composition (summed left
+    to right); each weight broadcasts against its softmax.
+    """
+    probs = [softmax_array(x.data, axis) for x in logits]
+    out_data = probs[0] * weights[0].data
+    for p, weight in zip(probs[1:], weights[1:]):
+        out_data = out_data + p * weight.data
+
+    def backward(grad: np.ndarray) -> None:
+        for x, weight, p in zip(logits, weights, probs):
+            weight._accumulate(_unbroadcast(grad * p, weight.shape))
+            grad_p = _unbroadcast(grad * weight.data, p.shape)
+            dot = (grad_p * p).sum(axis=axis, keepdims=True)
+            x._accumulate(p * (grad_p - dot))
+
+    return Tensor._make(out_data, tuple(logits) + tuple(weights), backward)
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -140,19 +167,74 @@ def mse_loss(pred: Tensor, target: np.ndarray) -> Tensor:
 
 
 # ---------------------------------------------------------------------- #
+# Affine map
+# ---------------------------------------------------------------------- #
+def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
+    """``x @ weight.T + bias`` over the last axis of ``x``.
+
+    One op with the values and gradients of ``x.matmul(weight.T) + bias``.
+    """
+    out_data = x.data @ weight.data.T
+    if bias is not None:
+        out_data = out_data + bias.data
+    parents = (x, weight) if bias is None else (x, weight, bias)
+
+    def backward(grad: np.ndarray) -> None:
+        if x.ndim == 1:
+            row = grad.reshape(1, -1)
+            x._accumulate((row @ weight.data).reshape(x.shape))
+            weight._accumulate((x.data.reshape(1, -1).T @ row).T)
+        else:
+            x._accumulate(grad @ weight.data)
+            weight_t = x.data.swapaxes(-1, -2) @ grad
+            weight._accumulate(_unbroadcast(weight_t, weight.shape[::-1]).T)
+        if bias is not None:
+            bias._accumulate(_unbroadcast(grad, bias.shape))
+
+    return Tensor._make(out_data, parents, backward)
+
+
+# ---------------------------------------------------------------------- #
 # Embedding lookup
 # ---------------------------------------------------------------------- #
 def embedding_lookup(weight: Tensor, indices: np.ndarray) -> Tensor:
     """Gather rows of ``weight`` (V, D) for integer ``indices`` of any shape."""
-    indices = np.asarray(indices, dtype=np.int64)
-    out_data = weight.data[indices]
+    return gather_rows(weight, indices)
+
+
+def concat_embedding_lookup(
+    weights: Sequence[Tensor],
+    indices: Sequence[np.ndarray],
+    keep: Optional[np.ndarray] = None,
+) -> Tensor:
+    """Look up ``indices[i]`` in ``weights[i]`` and concatenate along the last axis.
+
+    The values of ``concatenate([embedding_lookup(w, i) ...], axis=-1)``,
+    written into one output.  ``keep`` (a bool array of the index arrays'
+    shape) optionally marks the positions to embed: the others are zero,
+    with zero gradient.
+    """
+    indices = [np.asarray(index, dtype=np.int64) for index in indices]
+    columns = []  # (weight, index, first output column, width)
+    total = 0
+    for weight, index in zip(weights, indices):
+        columns.append((weight, index, total, weight.shape[-1]))
+        total += weight.shape[-1]
+    out_data = np.empty(indices[0].shape + (total,), dtype=weights[0].dtype)
+    for weight, index, start, width in columns:
+        out_data[..., start:start + width] = weight.data[index]
+    if keep is not None:
+        out_data[~keep] = 0.0
 
     def backward(grad: np.ndarray) -> None:
-        full = np.zeros_like(weight.data)
-        np.add.at(full, indices.reshape(-1), grad.reshape(-1, weight.shape[-1]))
-        weight._accumulate(full)
+        if keep is not None:
+            grad = grad * keep[..., None]
+        for weight, index, start, width in columns:
+            full = np.zeros_like(weight.data)
+            np.add.at(full, index.reshape(-1), grad[..., start:start + width].reshape(-1, width))
+            weight._accumulate(full)
 
-    return Tensor._make(out_data, (weight,), backward)
+    return Tensor._make(out_data, tuple(weights), backward)
 
 
 def gather_rows(x: Tensor, indices: np.ndarray) -> Tensor:
@@ -171,6 +253,25 @@ def gather_rows(x: Tensor, indices: np.ndarray) -> Tensor:
         full = np.zeros_like(x.data)
         np.add.at(full, indices.reshape(-1), grad.reshape((indices.size,) + x.shape[1:]))
         x._accumulate(full)
+
+    return Tensor._make(out_data, (x,), backward)
+
+
+def segment_mean(x: Tensor, offsets: np.ndarray) -> Tensor:
+    """Mean of consecutive runs of rows: rows ``offsets[i]:offsets[i + 1]`` -> row ``i``.
+
+    The ragged reduction of a flat column stored with CSR-style ``offsets``
+    (length ``num_segments + 1``).  Every segment must hold at least one
+    row.  Rows are added in order and the sum is scaled by the reciprocal
+    count, so a segment's mean equals ``x[start:end].mean(axis=0)``.
+    """
+    offsets = np.asarray(offsets, dtype=np.int64)
+    counts = offsets[1:] - offsets[:-1]
+    inv_counts = (1.0 / counts)[:, None].astype(x.dtype, copy=False)
+    out_data = np.add.reduceat(x.data, offsets[:-1], axis=0) * inv_counts
+
+    def backward(grad: np.ndarray) -> None:
+        x._accumulate(np.repeat(grad * inv_counts, counts, axis=0))
 
     return Tensor._make(out_data, (x,), backward)
 
@@ -232,7 +333,10 @@ def conv1d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, padding: in
         )
 
     if padding > 0:
-        padded = np.zeros((batch, length + 2 * padding, in_channels), dtype=x.dtype)
+        padded = np.empty((batch, length + 2 * padding, in_channels), dtype=x.dtype)
+        # The interior is overwritten by the copy; only the borders are zeroed.
+        padded[:, :padding, :] = 0.0
+        padded[:, padding + length:, :] = 0.0
         padded[:, padding:padding + length, :] = x.data
     else:
         padded = x.data
@@ -252,7 +356,7 @@ def conv1d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, padding: in
     w_mat = weight.data.reshape(out_channels, window * in_channels)
     out_data = col @ w_mat.T
     if bias is not None:
-        out_data = out_data + bias.data
+        out_data += bias.data
 
     parents = [x, weight] + ([bias] if bias is not None else [])
 
@@ -280,32 +384,42 @@ def conv1d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, padding: in
 # ---------------------------------------------------------------------- #
 # Pooling
 # ---------------------------------------------------------------------- #
-def max_pool_sequence(x: Tensor, mask: Optional[np.ndarray] = None) -> Tensor:
+def _masked_max(
+    data: np.ndarray, mask: np.ndarray, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Max over axis 1 of ``(batch, length, channels)`` where ``mask`` holds.
+
+    Rows with no valid position pool to zero.  A masked reduction, so no
+    masked copy of ``data`` is made; max is exact, so the values equal
+    gathering at :func:`_masked_argmax`.
+    """
+    out = np.max(data, axis=1, where=mask[:, :, None], initial=-np.inf, out=out)
+    out[~mask.any(axis=1)] = 0.0
+    return out
+
+
+def _masked_argmax(data: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Position of the first maximum over axis 1 among the valid positions."""
+    return np.where(mask[:, :, None], data, -1e30).argmax(axis=1)
+
+
+def max_pool_sequence(x: Tensor, mask: np.ndarray) -> Tensor:
     """Max-pool a sequence representation over the time axis.
 
     ``x`` has shape ``(batch, length, channels)``; the result has shape
-    ``(batch, channels)``.  ``mask`` (batch, length) marks valid positions.
+    ``(batch, channels)``.  ``mask`` (batch, length) marks valid positions;
+    a row with none pools to zero.  The argmax the gradient needs is taken
+    in the backward pass, so a gradient-free forward never computes it.
     """
-    data = x.data
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        data = np.where(mask[:, :, None], data, -1e30)
-    argmax = data.argmax(axis=1)  # (batch, channels)
-    batch, length, channels = x.shape
-    batch_idx = np.arange(batch)[:, None]
-    chan_idx = np.arange(channels)[None, :]
-    out_data = x.data[batch_idx, argmax, chan_idx]
-    if mask is not None:
-        # Sentences with no valid position pool to zero.
-        any_valid = mask.any(axis=1)
-        out_data = np.where(any_valid[:, None], out_data, 0.0)
+    batch, _, channels = x.shape
+    mask = np.asarray(mask, dtype=bool)
+    out_data = _masked_max(x.data, mask)
 
     def backward(grad: np.ndarray) -> None:
         full = np.zeros_like(x.data)
-        g = grad
-        if mask is not None:
-            g = grad * mask.any(axis=1)[:, None]
-        np.add.at(full, (batch_idx, argmax, chan_idx), g)
+        argmax = _masked_argmax(x.data, mask)
+        g = grad * mask.any(axis=1)[:, None]
+        np.add.at(full, (np.arange(batch)[:, None], argmax, np.arange(channels)[None, :]), g)
         x._accumulate(full)
 
     return Tensor._make(out_data, (x,), backward)
@@ -317,7 +431,7 @@ def piecewise_max_pool(x: Tensor, segment_ids: np.ndarray, num_segments: int = 3
     Each token position is assigned to a segment (before the head entity,
     between the entities, after the tail entity); the sequence representation
     is max-pooled inside each segment and the per-segment vectors are
-    concatenated.
+    concatenated.  A segment with no position pools to zero.
 
     Parameters
     ----------
@@ -335,30 +449,21 @@ def piecewise_max_pool(x: Tensor, segment_ids: np.ndarray, num_segments: int = 3
     batch, length, channels = x.shape
     if segment_ids.shape != (batch, length):
         raise ValueError("segment_ids must have shape (batch, length)")
-
-    pooled_parts = []
-    argmax_parts = []
-    valid_parts = []
-    batch_idx = np.arange(batch)[:, None]
-    chan_idx = np.arange(channels)[None, :]
+    out_data = np.empty((batch, num_segments * channels), dtype=x.dtype)
     for seg in range(num_segments):
-        seg_mask = segment_ids == seg
-        masked = np.where(seg_mask[:, :, None], x.data, -1e30)
-        argmax = masked.argmax(axis=1)
-        pooled = x.data[batch_idx, argmax, chan_idx]
-        any_valid = seg_mask.any(axis=1)
-        pooled = np.where(any_valid[:, None], pooled, 0.0)
-        pooled_parts.append(pooled)
-        argmax_parts.append(argmax)
-        valid_parts.append(any_valid)
-    out_data = np.concatenate(pooled_parts, axis=1)
+        _masked_max(
+            x.data, segment_ids == seg, out=out_data[:, seg * channels:(seg + 1) * channels]
+        )
 
     def backward(grad: np.ndarray) -> None:
         full = np.zeros_like(x.data)
+        batch_idx = np.arange(batch)[:, None]
+        chan_idx = np.arange(channels)[None, :]
         for seg in range(num_segments):
-            g = grad[:, seg * channels:(seg + 1) * channels]
-            g = g * valid_parts[seg][:, None]
-            np.add.at(full, (batch_idx, argmax_parts[seg], chan_idx), g)
+            seg_mask = segment_ids == seg
+            g = grad[:, seg * channels:(seg + 1) * channels] * seg_mask.any(axis=1)[:, None]
+            argmax = _masked_argmax(x.data, seg_mask)
+            np.add.at(full, (batch_idx, argmax, chan_idx), g)
         x._accumulate(full)
 
     return Tensor._make(out_data, (x,), backward)

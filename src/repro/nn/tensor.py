@@ -14,6 +14,10 @@ Design notes
   shape as ``Tensor.data``.
 * Broadcasting is supported for elementwise arithmetic; gradients are summed
   back ("unbroadcast") onto the original shapes.
+* :func:`no_grad` scopes a forward that needs values only (serving): inside
+  it every operation returns a plain tensor with no parents and no closure,
+  so no graph is kept alive.  The scope is per thread, so a serving thread
+  never switches off gradients in a concurrently training one.
 * Only operations needed by the relation-extraction models are implemented;
   the goal is a faithful, readable substrate rather than a general framework.
 """
@@ -21,7 +25,8 @@ Design notes
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple, Union
+import threading
+from typing import Callable, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -64,6 +69,28 @@ def default_dtype(dtype: np.dtype) -> Iterator[np.dtype]:
         yield get_default_dtype()
     finally:
         set_default_dtype(previous)
+
+
+class _GradMode(threading.local):
+    enabled = True
+
+
+_GRAD_MODE = _GradMode()
+
+
+@contextlib.contextmanager
+def no_grad() -> Iterator[None]:
+    """Scope in which operations record no parents or backward closures.
+
+    Values are unchanged; only the graph is skipped, so nothing inside the
+    scope can be back-propagated.  The scope is thread-local and nests.
+    """
+    previous = _GRAD_MODE.enabled
+    _GRAD_MODE.enabled = False
+    try:
+        yield
+    finally:
+        _GRAD_MODE.enabled = previous
 
 
 def _as_array(data: ArrayLike) -> np.ndarray:
@@ -163,10 +190,18 @@ class Tensor:
         parents: Sequence["Tensor"],
         backward: Callable[[np.ndarray], None],
     ) -> "Tensor":
-        requires_grad = any(p.requires_grad for p in parents)
-        if not requires_grad:
-            return Tensor(data, requires_grad=False)
-        return Tensor(data, requires_grad=True, _parents=tuple(parents), _backward=backward)
+        if _GRAD_MODE.enabled and any(p.requires_grad for p in parents):
+            return Tensor(data, requires_grad=True, _parents=tuple(parents), _backward=backward)
+        # A leaf: built without __init__'s keyword handling, since every op
+        # of a gradient-free forward lands here.
+        out = Tensor.__new__(Tensor)
+        out.data = data if type(data) is np.ndarray else _as_array(data)
+        out.grad = None
+        out.requires_grad = False
+        out._parents = ()
+        out._backward = None
+        out.name = None
+        return out
 
     def _accumulate(self, grad: np.ndarray) -> None:
         if not self.requires_grad:
@@ -539,10 +574,9 @@ def concatenate(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     """Concatenate tensors along ``axis`` with gradient support."""
     tensors = [t if isinstance(t, Tensor) else Tensor(t) for t in tensors]
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
 
     def backward(grad: np.ndarray) -> None:
+        offsets = np.cumsum([0] + [t.shape[axis] for t in tensors])
         for t, start, end in zip(tensors, offsets[:-1], offsets[1:]):
             slicer = [slice(None)] * grad.ndim
             slicer[axis] = slice(start, end)
@@ -576,8 +610,3 @@ def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
         b._accumulate(_unbroadcast(grad * (~cond), b.shape))
 
     return Tensor._make(out_data, (a, b), backward)
-
-
-def no_grad_copy(values: Iterable[Tensor]) -> list[np.ndarray]:
-    """Snapshot the data of the given tensors (used by optimizers and tests)."""
-    return [np.array(v.data, copy=True) for v in values]

@@ -7,12 +7,14 @@ and evaluates the bag-level heads vectorized, which multiplies serving
 throughput (see ``benchmarks/test_bench_serve.py``) while returning the exact
 same distributions as the per-bag path.
 
-The padded-batch machinery itself lives in the shared layer :mod:`repro.batch`
-(training uses its autograd-capable sibling); this package re-exports the
-serving half and adds the request/response API:
+The padded-batch machinery itself lives in the shared layer :mod:`repro.batch`:
+serving runs the same batched forward as training, in eval mode under
+:func:`repro.nn.no_grad`.  This package re-exports its serving entry points
+and adds the request/response API:
 
 * :mod:`repro.batch.merging` — merge encoded bags into one "superbag";
-* :mod:`repro.batch.inference` — vectorized serving forward pass;
+* :mod:`repro.batch.forward` — the one batched forward
+  (:func:`batched_predict_probabilities` for serving);
 * :mod:`repro.serve.service` — :class:`PredictionService`, the user-facing
   request/response API.
 

@@ -90,12 +90,16 @@ def fast_training_config() -> TrainingConfig:
     return TrainingConfig(epochs=2, batch_size=8, learning_rate=0.01, optimizer="adam", seed=0)
 
 
-def numeric_gradient(fn, array: np.ndarray, eps: float = 1e-6) -> np.ndarray:
-    """Central-difference gradient of a scalar function w.r.t. ``array`` (in place)."""
+def numeric_gradient(fn, array: np.ndarray, eps: float = 1e-6, indices=None) -> np.ndarray:
+    """Central-difference gradient of a scalar function w.r.t. ``array`` (in place).
+
+    ``indices`` restricts the differences to those coordinates (tuples into
+    ``array``); the other entries of the result stay zero.
+    """
     grad = np.zeros_like(array)
-    iterator = np.nditer(array, flags=["multi_index"])
-    while not iterator.finished:
-        index = iterator.multi_index
+    if indices is None:
+        indices = list(np.ndindex(array.shape))
+    for index in indices:
         original = array[index]
         array[index] = original + eps
         upper = fn()
@@ -103,7 +107,6 @@ def numeric_gradient(fn, array: np.ndarray, eps: float = 1e-6) -> np.ndarray:
         lower = fn()
         array[index] = original
         grad[index] = (upper - lower) / (2 * eps)
-        iterator.iternext()
     return grad
 
 

@@ -338,6 +338,61 @@ def _matmul_case(rng):
     return [rng.standard_normal((3, 4)), rng.standard_normal((4, 2))], lambda a, b: a @ b
 
 
+def _masked_softmax_case(rng):
+    # The last row is fully masked: it must pool to zeros with zero gradient.
+    mask = np.array([[True, True, False, True], [True, False, False, False], [False] * 4])
+    return [rng.standard_normal((3, 4))], lambda x: F.masked_softmax(x, mask, axis=-1)
+
+
+def _log_softmax_case(rng):
+    return [rng.standard_normal((2, 4))], lambda x: F.log_softmax(x, axis=-1)
+
+
+def _nll_loss_case(rng):
+    targets = np.array([1, 0, 3])
+    return [rng.standard_normal((3, 4))], lambda x: F.nll_loss(F.log_softmax(x), targets)
+
+
+def _embedding_lookup_case(rng):
+    indices = np.array([[0, 2, 2], [3, 1, 0]])  # duplicates accumulate
+    # Squared, so the upstream gradient reaching the scatter-add depends on x.
+    return [rng.standard_normal((4, 3))], lambda w: (
+        F.embedding_lookup(w, indices) * F.embedding_lookup(w, indices)
+    )
+
+
+def _segment_mean_case(rng):
+    offsets = np.array([0, 1, 4, 6])  # ragged segments of 1, 3 and 2 rows
+    return [rng.standard_normal((6, 3))], lambda x: F.segment_mean(x, offsets)
+
+
+def _weighted_softmax_sum_case(rng):
+    # Scalar weights broadcast, as the confidence combiner's alpha/beta/gamma.
+    arrays = [rng.standard_normal((3, 4)) for _ in range(3)] + [
+        rng.standard_normal(1) for _ in range(3)
+    ]
+    return arrays, lambda a, b, c, wa, wb, wc: F.weighted_softmax_sum([a, b, c], [wa, wb, wc])
+
+
+def _linear_case(rng):
+    # A 3-D input, as word attention projects (sentences, length, hidden).
+    return [rng.standard_normal((2, 3, 4)), rng.standard_normal((5, 4)), rng.standard_normal(5)], (
+        lambda x, w, b: F.linear(x, w, b)
+    )
+
+
+def _concat_embedding_lookup_case(rng):
+    words = np.array([[0, 2, 2], [3, 1, 0]])
+    positions = np.array([[1, 0, 1], [0, 0, 1]])
+    keep = np.array([[True, True, False], [True, True, True]])
+    # Squared, so the upstream gradient reaching the scatter-adds depends on
+    # the tables; the last column of row 0 embeds to zero.
+    return [rng.standard_normal((4, 3)), rng.standard_normal((2, 2))], lambda w, p: (
+        F.concat_embedding_lookup([w, p], [words, positions], keep=keep)
+        * F.concat_embedding_lookup([w, p], [words, positions], keep=keep)
+    )
+
+
 OP_CASES = {
     "conv1d": _conv1d_case,
     "piecewise_max_pool": _piecewise_max_pool_case,
@@ -346,6 +401,14 @@ OP_CASES = {
     "softmax": _softmax_case,
     "cross_entropy": _cross_entropy_case,
     "matmul": _matmul_case,
+    "masked_softmax": _masked_softmax_case,
+    "log_softmax": _log_softmax_case,
+    "nll_loss": _nll_loss_case,
+    "embedding_lookup": _embedding_lookup_case,
+    "segment_mean": _segment_mean_case,
+    "weighted_softmax_sum": _weighted_softmax_sum_case,
+    "linear": _linear_case,
+    "concat_embedding_lookup": _concat_embedding_lookup_case,
 }
 
 #: float32 forward vs float64 forward, elementwise: float32 carries ~7

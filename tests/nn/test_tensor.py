@@ -2,12 +2,23 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn.tensor import Tensor, concatenate, ones, stack, tensor, where, zeros
+from repro.nn.tensor import (
+    Tensor,
+    concatenate,
+    no_grad,
+    ones,
+    stack,
+    tensor,
+    where,
+    zeros,
+)
 
 
 class TestTensorBasics:
@@ -350,6 +361,56 @@ class TestPropertyBased:
 
         numeric = numeric_gradient(lambda: float(loss().data), a.data)
         np.testing.assert_allclose(analytic, numeric, rtol=1e-5, atol=1e-7)
+
+
+class TestNoGrad:
+    def test_tensors_made_inside_hold_no_parents(self):
+        w = Tensor([1.0, -2.0, 3.0], requires_grad=True)
+        with no_grad():
+            out = (w * w).tanh().sum()
+            merged = concatenate([w, w * 2.0])
+        for t in (out, merged):
+            assert t._parents == () and t._backward is None
+            assert not t.requires_grad
+        np.testing.assert_allclose(out.data, np.tanh(w.data * w.data).sum())
+        with pytest.raises(RuntimeError):
+            out.backward()
+
+    def test_scope_nests_and_restores(self):
+        w = Tensor([2.0], requires_grad=True)
+        with no_grad():
+            with no_grad():
+                pass
+            assert (w * 1.0)._parents == ()
+        y = (w * w).sum()
+        y.backward()
+        np.testing.assert_allclose(w.grad, [4.0])
+
+    def test_scope_in_one_thread_keeps_gradients_in_another(self):
+        entered, done = threading.Event(), threading.Event()
+        inside = {}
+
+        def serve():
+            w = Tensor([1.0, 2.0], requires_grad=True)
+            with no_grad():
+                entered.set()
+                done.wait(timeout=10)
+                inside["parents"] = (w * w)._parents
+
+        server = threading.Thread(target=serve)
+        server.start()
+        try:
+            assert entered.wait(timeout=10)
+            # The other thread is inside its scope: training here still works.
+            w = Tensor([1.0, -3.0], requires_grad=True)
+            loss = (w * w).sum()
+            assert loss._parents != ()
+            loss.backward()
+            np.testing.assert_allclose(w.grad, [2.0, -6.0])
+        finally:
+            done.set()
+            server.join(timeout=10)
+        assert inside["parents"] == ()
 
 
 class TestDefaultDtype:

@@ -1,4 +1,4 @@
-"""Batched-vs-per-bag *training* parity (:mod:`repro.batch.training`).
+"""Batched-vs-per-bag *training* parity (:mod:`repro.batch.forward`).
 
 Mirrors the inference parity suite in ``tests/test_serve.py``: for every
 encoder/aggregator/head combination the vectorized padded-batch training

@@ -70,8 +70,7 @@ class TestExampleScripts:
 class TestRunnerCli:
     def test_runner_table3(self):
         result = subprocess.run(
-            [sys.executable, "-m", "repro.experiments.runner",
-             "--experiment", "table3", "--profile", "tiny"],
+            [sys.executable, "-m", "repro", "run", "table3", "--profile", "tiny"],
             capture_output=True,
             text=True,
             timeout=300,
@@ -83,8 +82,7 @@ class TestRunnerCli:
     @pytest.mark.slow
     def test_runner_cache_dir_reuses_artifacts(self, tmp_path):
         command = [
-            sys.executable, "-m", "repro.experiments.runner",
-            "--experiment", "figure7", "--profile", "tiny",
+            sys.executable, "-m", "repro", "run", "figure7", "--profile", "tiny",
             "--cache-dir", str(tmp_path / "cache"),
         ]
         first = subprocess.run(

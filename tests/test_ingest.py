@@ -24,6 +24,9 @@ from __future__ import annotations
 import copy
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import zipfile
 
 import numpy as np
@@ -502,6 +505,24 @@ class TestArtifactVersionStore:
         assert store.prune(keep_last=1) == 2  # drops v2 and v3, spares v1 + v4
         assert [info.version for info in store.list_versions()] == [1, 4]
         assert store.current().version == 1
+
+    def test_prune_collects_staging_of_dead_publishers_only(self, tmp_path):
+        store = ArtifactVersionStore(tmp_path)
+        publish_blob(store)
+        # A publisher killed mid-publish leaves its pid-named staging files.
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        child.wait()  # reaped: its pid names no live process
+        dead = tmp_path / f".staging-v000002-{child.pid}"
+        (dead / "checkpoint").mkdir(parents=True)
+        (dead / "checkpoint" / "weights.bin").write_bytes(b"half")
+        dead_pointer = tmp_path / f".{CURRENT_POINTER}.tmp-{child.pid}"
+        dead_pointer.write_text("2\n", encoding="ascii")
+        live = tmp_path / f".staging-v000002-{os.getpid()}"
+        live.mkdir()
+        assert store.prune(keep_last=1) == 0
+        assert not dead.exists() and not dead_pointer.exists()
+        assert live.exists()
+        assert [info.version for info in store.list_versions()] == [1]
 
 
 # --------------------------------------------------------------------- #

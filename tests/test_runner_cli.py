@@ -1,5 +1,5 @@
-"""Tests for the CLIs: the ``python -m repro`` subcommands and the legacy
-``repro.experiments.runner`` shim (argv parsing, JSON output, exit codes)."""
+"""Tests for the ``python -m repro`` subcommand CLI (argv parsing, JSON
+output, exit codes)."""
 
 from __future__ import annotations
 
@@ -9,12 +9,9 @@ import numpy as np
 import pytest
 
 from repro import cli
-from repro.config import ScaleProfile
-from repro.exceptions import ConfigurationError
 from repro.experiments import registry
 from repro.experiments.registry import ExperimentSpec, RegisteredExperiment
 from repro.experiments.results import ExperimentResult
-from repro.experiments.runner import main as runner_main, run_experiment
 
 
 @pytest.fixture()
@@ -41,45 +38,6 @@ def fake_registry(monkeypatch):
     monkeypatch.setattr(registry, "_REGISTRY", fakes)
     monkeypatch.setattr(registry, "_builtins_loaded", True)
     return calls
-
-
-class TestLegacyRunner:
-    def test_run_experiment_unknown_name(self, tiny_profile):
-        with pytest.raises(ConfigurationError) as excinfo:
-            run_experiment("nope", tiny_profile, 0)
-        # The error must name the available choices.
-        assert "table4" in str(excinfo.value)
-
-    def test_run_experiment_table3_takes_seed(self, tiny_profile):
-        # The table3 special case is gone: the uniform entry accepts a seed.
-        report = run_experiment("table3", tiny_profile, 7)
-        assert "Table III" in report
-
-    def test_main_single_experiment(self, fake_registry, capsys):
-        assert runner_main(["--experiment", "alpha", "--profile", "tiny", "--seed", "3"]) == 0
-        out = capsys.readouterr().out
-        assert "report of alpha" in out
-        assert fake_registry == [("alpha", 3, {})]
-
-    def test_main_all_experiments(self, fake_registry, capsys):
-        assert runner_main(["--experiment", "all", "--profile", "tiny"]) == 0
-        assert [call[0] for call in fake_registry] == ["alpha", "beta"]
-        out = capsys.readouterr().out
-        assert "report of alpha" in out and "report of beta" in out
-
-    def test_main_unknown_experiment_exits_2(self, fake_registry, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            runner_main(["--experiment", "gamma"])
-        assert excinfo.value.code == 2
-
-    def test_main_json_output_round_trip(self, fake_registry, tmp_path, capsys):
-        assert runner_main(
-            ["--experiment", "alpha", "--format", "json", "--output-dir", str(tmp_path)]
-        ) == 0
-        stdout_payload = json.loads(capsys.readouterr().out)
-        assert stdout_payload["experiment"] == "alpha"
-        loaded = ExperimentResult.load(tmp_path / "alpha.json")
-        assert loaded.to_dict() == stdout_payload
 
 
 class TestSubcommandRun:

@@ -7,7 +7,6 @@ import pytest
 
 import repro
 from repro import nn
-from repro.batch.inference import _conv_window_gather, _segment_max
 from repro.corpus.bags import SentenceExample
 from repro.exceptions import ConfigurationError, DataError
 from repro.experiments.pipeline import train_and_evaluate
@@ -80,33 +79,41 @@ class TestBatchedForwardParity:
 
 
 class TestInferenceKernels:
+    """The conv and pooling ops the batched forward serves through, against naive loops."""
+
     def test_conv_window_gather_matches_conv1d(self):
-        # im2col + matmul must reproduce the autograd conv bit-for-bit.
+        # F.conv1d's im2col gather + matmul against a direct sliding window.
         from repro.nn import functional as F
 
         rng = np.random.default_rng(1)
         conv = nn.Conv1d(4, 6, kernel_size=3, rng=rng)
         x = rng.standard_normal((2, 9, 4))
-        expected = F.conv1d(nn.Tensor(x), conv.weight, conv.bias, padding=1).data
+        got = F.conv1d(nn.Tensor(x), conv.weight, conv.bias, padding=1).data
 
         padded = np.zeros((2, 9 + 2, 4))
         padded[:, 1:10, :] = x
-        col = _conv_window_gather(padded, window=3)
-        w_mat = conv.weight.data.reshape(6, -1)
-        got = np.matmul(col, w_mat.T) + conv.bias.data
-        np.testing.assert_array_equal(got, expected)
+        expected = np.zeros((2, 9, 6))
+        for position in range(9):
+            window = padded[:, position:position + 3, :]
+            expected[:, position, :] = (
+                np.einsum("bwc,owc->bo", window, conv.weight.data) + conv.bias.data
+            )
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
     def test_segment_max_matches_naive(self):
+        from repro.nn import functional as F
+
         rng = np.random.default_rng(2)
         x = rng.standard_normal((3, 6, 2))
         segments = np.array(
             [[0, 0, 1, 1, 2, 2], [0, 1, 2, -1, -1, -1], [1, 1, 1, -1, -1, -1]]
         )
-        got = _segment_max(x, segments, num_segments=3)
+        got = F.piecewise_max_pool(nn.Tensor(x), segments, num_segments=3).data
         assert got.shape == (3, 6)
         for row in range(3):
             for seg in range(3):
                 positions = np.flatnonzero(segments[row] == seg)
+                # An empty segment pools to exactly zero.
                 expected = x[row, positions].max(axis=0) if positions.size else np.zeros(2)
                 np.testing.assert_array_equal(got[row, seg * 2:(seg + 1) * 2], expected)
 
