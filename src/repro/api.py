@@ -249,8 +249,8 @@ class Session:
         (``session.daemon("pa_tmr")`` trains via the cached context first).
 
         The daemon coalesces concurrent single requests into padded batches
-        under the session profile's latency deadline (``config`` defaults to
-        :meth:`ScaleProfile.daemon_config`).  Use it as a context manager —
+        (``config`` defaults to :class:`DaemonConfig`'s defaults: a free
+        worker takes whatever is waiting).  Use it as a context manager —
         ``with session.daemon(method) as daemon: daemon.predict(...)`` — or
         call :meth:`~repro.serve.ServingDaemon.start` /
         :meth:`~repro.serve.ServingDaemon.close` explicitly.  See
@@ -260,4 +260,4 @@ class Session:
         service = self.service(
             method_or_model, dataset=dataset, batch_size=batch_size, dtype=dtype
         )
-        return ServingDaemon(service, config=config or self.profile.daemon_config())
+        return ServingDaemon(service, config=config)

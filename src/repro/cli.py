@@ -34,7 +34,7 @@ import sys
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, TextIO, Union
 
-from .config import DTYPES, ScaleProfile
+from .config import DTYPES, DaemonConfig, ScaleProfile
 from .exceptions import ConfigurationError, ReproError, UsageError
 from .experiments import registry
 from .experiments.results import ExperimentResult
@@ -342,7 +342,6 @@ def _serve_via_daemon(service, requests, args: argparse.Namespace):
     batches) and gathered in order; the daemon is drained before returning.
     Returns ``(results, stats_snapshot)``.
     """
-    from .config import DaemonConfig
     from .serve import ServingDaemon
 
     config = DaemonConfig(
@@ -518,17 +517,31 @@ def build_parser() -> argparse.ArgumentParser:
         help="with --daemon: print the metrics snapshot (counters, batch "
         "occupancy, latency quantiles) to stderr",
     )
+    daemon_defaults = DaemonConfig()
     serve_parser.add_argument(
-        "--max-batch-size", type=int, default=32, help="daemon: requests per coalesced batch"
+        "--max-batch-size",
+        type=int,
+        default=daemon_defaults.max_batch_size,
+        help="daemon: requests per coalesced batch",
     )
     serve_parser.add_argument(
-        "--max-wait-ms", type=float, default=2.0, help="daemon: coalescing latency deadline"
+        "--max-wait-ms",
+        type=float,
+        default=daemon_defaults.max_wait_ms,
+        help="daemon: how long a partial batch may wait for more requests "
+        "(0: a free worker takes whatever is waiting)",
     )
     serve_parser.add_argument(
-        "--queue-limit", type=int, default=256, help="daemon: backpressure queue bound"
+        "--queue-limit",
+        type=int,
+        default=daemon_defaults.queue_limit,
+        help="daemon: backpressure queue bound",
     )
     serve_parser.add_argument(
-        "--workers", type=int, default=1, help="daemon: batch executor threads"
+        "--workers",
+        type=int,
+        default=daemon_defaults.num_workers,
+        help="daemon: worker threads running batches",
     )
     serve_parser.set_defaults(func=_cmd_serve)
 

@@ -207,25 +207,26 @@ class GraphEmbeddingConfig:
 class DaemonConfig:
     """Knobs of the online serving daemon (:mod:`repro.serve.daemon`).
 
-    The daemon coalesces single-bag requests into padded batches under a
-    latency deadline: a batch is dispatched as soon as ``max_batch_size``
-    requests are waiting or ``max_wait_ms`` has elapsed since the oldest
-    queued request, whichever comes first.  ``max_wait_ms=0`` disables
-    coalescing (every request becomes its own batch, the lowest-latency /
-    lowest-throughput setting).
+    The daemon's worker threads coalesce single-bag requests into padded
+    batches: a free worker takes up to ``max_batch_size`` of the oldest
+    requests once that many are waiting or the oldest has waited
+    ``max_wait_ms``.  With the default ``max_wait_ms=0`` a free worker takes
+    whatever is waiting at once, so requests coalesce only while every
+    worker is busy; a positive ``max_wait_ms`` holds partial batches back
+    for more traffic, trading latency for fuller batches.
     """
 
     max_batch_size: int = 32       # requests coalesced into one forward pass
-    max_wait_ms: float = 2.0       # deadline before a partial batch dispatches
+    max_wait_ms: float = 0.0       # how long a partial batch may wait for more
     queue_limit: int = 256         # queued + in-flight requests before backpressure
-    num_workers: int = 1           # executor threads running the vectorized forward
+    num_workers: int = 1           # worker threads running the vectorized forward
     latency_window: int = 4096     # latency samples kept for quantile estimates
 
     def validate(self) -> None:
         if self.max_batch_size <= 0:
             raise ConfigurationError("max_batch_size must be positive")
         if self.max_wait_ms < 0:
-            raise ConfigurationError("max_wait_ms must be >= 0 (0 disables coalescing)")
+            raise ConfigurationError("max_wait_ms must be >= 0")
         if self.queue_limit <= 0:
             raise ConfigurationError("queue_limit must be positive")
         if self.num_workers <= 0:
@@ -312,13 +313,6 @@ class ScaleProfile:
     # ExperimentConfig.for_profile and settable via ``python -m repro run``.
     propagation_layers: int = 0
     propagation_alpha: float = 0.5
-    # Online serving daemon knobs (repro.serve.daemon), forwarded into
-    # DaemonConfig by daemon_config(); the benchmark harness and the CLI's
-    # `serve --daemon` path read them from the profile.
-    daemon_max_batch_size: int = 32
-    daemon_max_wait_ms: float = 2.0
-    daemon_queue_limit: int = 256
-    daemon_workers: int = 1
     # Out-of-core corpus engine knobs (PR 7).  `encode_workers` > 1 fans
     # BagEncoder.encode_store out over forked workers (0/1 = serial, the
     # deterministic tier-1 default — parallel results are bitwise identical,
@@ -429,17 +423,6 @@ class ScaleProfile:
             finetune_epochs=self.ingest_finetune_epochs,
             propagation_layers=self.propagation_layers,
             propagation_alpha=self.propagation_alpha,
-        )
-        config.validate()
-        return config
-
-    def daemon_config(self) -> DaemonConfig:
-        """Serving-daemon configuration scaled to this profile."""
-        config = DaemonConfig(
-            max_batch_size=self.daemon_max_batch_size,
-            max_wait_ms=self.daemon_max_wait_ms,
-            queue_limit=self.daemon_queue_limit,
-            num_workers=self.daemon_workers,
         )
         config.validate()
         return config

@@ -21,11 +21,13 @@ and adds the request/response API:
 For long-lived concurrent serving the package also hosts the online daemon
 (see ``docs/daemon.md``):
 
-* :mod:`repro.serve.coalescer` — pure deadline-driven micro-batch formation
-  (:class:`BatchCoalescer`), deterministic-testable with a fake clock;
-* :mod:`repro.serve.daemon` — :class:`ServingDaemon`, the asyncio request
-  loop with bounded-queue backpressure, multi-worker dispatch and hot
-  checkpoint reload;
+* :mod:`repro.serve.coalescer` — pure micro-batch formation
+  (:class:`BatchCoalescer`: a free worker takes a full batch, a batch whose
+  oldest request reached its deadline, or anything while draining),
+  deterministic-testable with a fake clock;
+* :mod:`repro.serve.daemon` — :class:`ServingDaemon`, worker threads that
+  pull batches from one locked queue, with bounded-queue backpressure and
+  hot checkpoint reload;
 * :mod:`repro.serve.metrics` — :class:`DaemonMetrics`, the observability
   surface (counters, batch-occupancy histogram, latency quantiles).
 """

@@ -1,20 +1,22 @@
-"""Deadline-driven request coalescing for the online serving daemon.
+"""Request coalescing for the online serving daemon.
 
 :class:`BatchCoalescer` is the pure decision core of adaptive
-micro-batching: requests go in one at a time, batches come out when either
+micro-batching.  Requests go in one at a time with :meth:`~BatchCoalescer.add`;
+a free worker asks :meth:`~BatchCoalescer.take` for the oldest
+``max_batch_size`` of them, which it gets once
 
-* ``max_batch_size`` requests are waiting (a full batch dispatches
-  immediately), or
-* ``max_wait_seconds`` has elapsed since the **oldest** waiting request (a
-  partial batch dispatches at its latency deadline rather than waiting for
-  more traffic).
+* ``max_batch_size`` requests are waiting, or
+* the **oldest** waiting request has waited ``max_wait_seconds``, or
+* the daemon is draining for shutdown.
 
-The class owns no clock, no thread and no queue — every method takes ``now``
-explicitly and returns the batches that became ready, which is what makes
-the concurrency test-suite deterministic: ``tests/test_daemon.py`` drives it
-with a fake clock and proves batch formation without a single sleep.  The
-daemon (:mod:`repro.serve.daemon`) wraps it with a real monotonic clock and
-an asyncio timer.
+With ``max_wait_seconds=0`` the second rule always holds, so a free worker
+takes whatever is waiting, up to the cap: requests coalesce only while every
+worker is busy.
+
+The class owns no clock, no thread and no lock — :meth:`~BatchCoalescer.take`
+takes ``now`` explicitly, which is what makes batch formation testable with a
+fake clock (``tests/test_daemon.py``).  The daemon (:mod:`repro.serve.daemon`)
+guards it with one condition variable and a real monotonic clock.
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ class PendingRequest:
     Carries the already-encoded bag (encoding happens at submit time, on the
     caller's thread), the original request for result formatting, the
     ``top_k`` the caller asked for, the future the answer is routed back
-    through, and the enqueue timestamp the latency metrics are computed
-    from.
+    through, and the enqueue timestamp that anchors the coalescing deadline
+    and the latency metrics.
     """
 
     request: Any
@@ -47,17 +49,15 @@ class PendingRequest:
 
 
 class BatchCoalescer:
-    """Accumulate pending requests into deadline-bounded batches.
+    """FIFO of pending requests that hands out deadline-bounded batches.
 
     Parameters
     ----------
     max_batch_size:
-        Batch-size cap; :meth:`add` emits a batch the moment this many
-        requests are waiting.
+        Batch-size cap; a full batch is ready at once.
     max_wait_seconds:
         How long the oldest waiting request may wait before a partial batch
-        is emitted.  ``0`` disables coalescing: every :meth:`add` emits a
-        single-request batch immediately.
+        is ready.  ``0`` makes whatever is waiting ready at once.
     """
 
     def __init__(self, max_batch_size: int, max_wait_seconds: float) -> None:
@@ -68,66 +68,36 @@ class BatchCoalescer:
         self.max_batch_size = max_batch_size
         self.max_wait_seconds = max_wait_seconds
         self._pending: List[PendingRequest] = []
-        self._oldest_at: Optional[float] = None
 
     def __len__(self) -> int:
         return len(self._pending)
 
     def next_deadline(self) -> Optional[float]:
-        """When the current partial batch must dispatch; ``None`` if empty.
+        """When the current partial batch is due; ``None`` if empty.
 
         The deadline tracks the *oldest* waiting request, so a stream of
         trickling arrivals cannot postpone dispatch indefinitely.
         """
-        if self._oldest_at is None:
+        if not self._pending:
             return None
-        return self._oldest_at + self.max_wait_seconds
+        return self._pending[0].enqueued_at + self.max_wait_seconds
 
-    # ------------------------------------------------------------------ #
-    # Driving
-    # ------------------------------------------------------------------ #
-    def add(self, item: PendingRequest, now: float) -> List[List[PendingRequest]]:
-        """Queue one request at time ``now``; return any batches now ready.
-
-        A batch is ready if the buffer reached ``max_batch_size`` or the
-        deadline already passed (``max_wait_seconds=0`` makes every request
-        its own batch).  At most one batch can become ready per ``add``.
-        """
-        if self._oldest_at is None:
-            self._oldest_at = now
+    def add(self, item: PendingRequest) -> None:
+        """Queue one request behind those already waiting."""
         self._pending.append(item)
-        if len(self._pending) >= self.max_batch_size:
-            return [self._emit()]
-        return self.pop_due(now)
 
-    def pop_due(self, now: float) -> List[List[PendingRequest]]:
-        """Batches whose latency deadline has passed as of time ``now``.
+    def take(self, now: float, draining: bool = False) -> Optional[List[PendingRequest]]:
+        """The oldest ``max_batch_size`` requests if a batch is ready, else ``None``.
 
-        Returns ``[]`` while the deadline is still in the future; at or past
-        the deadline the whole partial buffer is emitted (it is always
-        smaller than ``max_batch_size`` — full buffers were emitted by
-        :meth:`add`).
+        A batch is ready when the cap is reached, the oldest request's
+        deadline is at or before ``now``, or ``draining`` is set.  The rest
+        stay queued in arrival order.
         """
         deadline = self.next_deadline()
-        if deadline is None or now < deadline:
-            return []
-        return [self._emit()]
-
-    def flush(self) -> List[List[PendingRequest]]:
-        """Emit everything still waiting (shutdown drain), deadline or not."""
-        batches = []
-        while self._pending:
-            batches.append(self._emit())
-        return batches
-
-    def _emit(self) -> List[PendingRequest]:
+        if deadline is None:
+            return None
+        if len(self._pending) < self.max_batch_size and now < deadline and not draining:
+            return None
         batch = self._pending[: self.max_batch_size]
         del self._pending[: self.max_batch_size]
-        if self._pending:
-            # Remaining items keep their own arrival order; the oldest one
-            # anchors the next deadline.  (Only reachable via flush racing
-            # nothing — add/pop_due always drain to empty.)
-            self._oldest_at = self._pending[0].enqueued_at
-        else:
-            self._oldest_at = None
         return batch

@@ -5,47 +5,50 @@ a concurrent server:
 
 * callers :meth:`~ServingDaemon.submit` single ``(head, tail, sentences)``
   requests from any thread and get a future back;
-* an asyncio event loop (owned by a background thread) lands requests in a
-  bounded queue and a :class:`~repro.serve.coalescer.BatchCoalescer` drains
-  them into padded batches under a latency deadline (``max_batch_size`` /
-  ``max_wait_ms``, see :class:`repro.config.DaemonConfig`);
-* batches dispatch to a pool of worker threads running the existing
-  vectorized forward (:meth:`PredictionService.predict_encoded`, the shared
-  padded-batch layer), and per-request results route back through the
-  futures;
+* ``num_workers`` worker threads pull batches from one
+  :class:`~repro.serve.coalescer.BatchCoalescer` guarded by a condition
+  variable.  A free worker takes up to ``max_batch_size`` of the oldest
+  requests once the queue holds a full batch, the oldest request has waited
+  ``max_wait_ms``, or the daemon is closing (see
+  :class:`repro.config.DaemonConfig`).  With the default ``max_wait_ms=0``
+  a free worker takes whatever is waiting, so requests coalesce only while
+  every worker is computing;
+* the worker runs its batch through the vectorized forward
+  (:meth:`PredictionService.predict_encoded`, the shared padded-batch layer)
+  and routes each row back through its request's future;
 * :meth:`~ServingDaemon.reload` hot-swaps the model: a fresh
-  :meth:`PredictionService.from_checkpoint` is built off the event loop,
-  then a single reference assignment switches traffic over — batches
-  already dispatched finish on the old model, batches dispatched after the
-  swap use the new one;
+  :meth:`PredictionService.from_checkpoint` is built on the calling thread,
+  then a single reference assignment switches traffic over — batches a
+  worker already took finish on the old model, batches taken after the swap
+  use the new one;
 * :meth:`~ServingDaemon.watch` follows a streaming-ingest artifact version
   store (:mod:`repro.ingest`): each newly published version triggers the
   same reload swap, and the active version id is reported in
   :meth:`~ServingDaemon.stats`;
 * :meth:`~ServingDaemon.close` drains: no new requests are accepted, every
-  queued request still gets its answer, then the loop and workers stop.
+  queued request still gets its answer, then the workers exit.
 
 Failure semantics: a full queue rejects the submit with a typed
 :class:`~repro.exceptions.ServiceError` instead of queueing unbounded work;
-an exception inside a worker fails exactly the requests of that batch (their
-futures re-raise it) and the daemon keeps serving.
+an exception inside a batch fails exactly the requests of that batch (their
+futures re-raise it) and the worker keeps serving.
 
 Everything observable lives in :class:`~repro.serve.metrics.DaemonMetrics`
 (:meth:`~ServingDaemon.stats` returns a frozen snapshot).  Numerical
 contract: a response is bit-equal to ``service.predict_encoded`` over the
 same coalesced batch — the daemon adds zero numerical perturbation — and
 therefore equal to the direct single-request ``service.predict`` path to
-float64 round-off (bit-equal when the batch holds one request; the batched
-forward's results vary by ~1e-16 with batch composition, exactly like
-``PredictionService``'s own chunking).  See ``docs/daemon.md``.
+float64 round-off (bit-equal when the batch holds one request, which
+``max_batch_size=1`` guarantees; the batched forward's results vary by
+~1e-16 with batch composition, exactly like ``PredictionService``'s own
+chunking).  See ``docs/daemon.md``.
 """
 
 from __future__ import annotations
 
-import asyncio
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
@@ -83,10 +86,8 @@ class ServingDaemon:
         :meth:`reload`.
     config:
         Batching/backpressure knobs; defaults to :class:`DaemonConfig`'s
-        defaults (32-request batches, 2 ms deadline).
-    clock:
-        Monotonic time source for deadlines and latency metrics.  Injectable
-        for tests; event-loop timers always use real time.
+        defaults (32-request batches, dispatch as soon as a worker is free,
+        one worker).
     batch_runner:
         Override of the batch executor (tests gate or fail batches through
         this seam).  Must return one probability row per bag, in order.
@@ -99,27 +100,23 @@ class ServingDaemon:
         self,
         service: PredictionService,
         config: Optional[DaemonConfig] = None,
-        clock: Callable[[], float] = time.monotonic,
         batch_runner: Optional[BatchRunner] = None,
     ) -> None:
         self.config = config or DaemonConfig()
         self.config.validate()
         self._service = service
-        self._clock = clock
         self._batch_runner = batch_runner or _default_batch_runner
         self.metrics = DaemonMetrics(latency_window=self.config.latency_window)
 
+        # One condition guards the coalescer, the pending count and the
+        # running flag: submitters notify it, idle workers wait on it.
         self._coalescer = BatchCoalescer(
             self.config.max_batch_size, self.config.max_wait_seconds
         )
-        self._state_lock = threading.Lock()
-        self._drained = threading.Condition(self._state_lock)
-        self._pending_count = 0          # queued + dispatched, not yet resolved
+        self._ready = threading.Condition()
+        self._pending_count = 0          # queued + in a worker, not yet resolved
         self._running = False
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._loop_thread: Optional[threading.Thread] = None
-        self._executor: Optional[ThreadPoolExecutor] = None
-        self._timer: Optional[asyncio.TimerHandle] = None
+        self._workers: List[threading.Thread] = []
 
         # Version-store watching (repro.ingest integration).  The store is
         # duck-typed — anything whose current() returns None or an object
@@ -144,31 +141,17 @@ class ServingDaemon:
         return self._running
 
     def start(self) -> "ServingDaemon":
-        """Spin up the event loop and worker pool; idempotent is an error."""
-        with self._state_lock:
+        """Start the worker threads; starting a running daemon is an error."""
+        with self._ready:
             if self._running:
                 raise ServiceError("daemon is already running")
             self._running = True
-        self._executor = ThreadPoolExecutor(
-            max_workers=self.config.num_workers, thread_name_prefix="repro-serve"
-        )
-        ready = threading.Event()
-
-        def run_loop() -> None:
-            loop = asyncio.new_event_loop()
-            asyncio.set_event_loop(loop)
-            self._loop = loop
-            ready.set()
-            try:
-                loop.run_forever()
-            finally:
-                loop.close()
-
-        self._loop_thread = threading.Thread(
-            target=run_loop, name="repro-serve-loop", daemon=True
-        )
-        self._loop_thread.start()
-        ready.wait()
+        self._workers = [
+            threading.Thread(target=self._work, name=f"repro-serve-{index}", daemon=True)
+            for index in range(self.config.num_workers)
+        ]
+        for worker in self._workers:
+            worker.start()
         logger.info(
             "serving daemon started: %s, max_batch_size=%d, max_wait_ms=%.3g, "
             "queue_limit=%d, workers=%d",
@@ -189,54 +172,33 @@ class ServingDaemon:
         self.close()
 
     def close(self, timeout: Optional[float] = 30.0) -> None:
-        """Graceful shutdown: stop intake, drain the queue, stop the loop.
+        """Graceful shutdown: stop intake, drain the queue, join the workers.
 
         Every request accepted before the call still resolves (with a result
-        or its batch's exception).  Raises :class:`ServiceError` if the
-        drain exceeds ``timeout`` seconds; ``timeout=None`` waits forever.
+        or its batch's exception): the workers take what is queued without
+        waiting for deadlines and exit once the queue is empty.  Raises
+        :class:`ServiceError` if the drain exceeds ``timeout`` seconds;
+        ``timeout=None`` waits forever.
         """
         self._stop_watcher()
-        with self._state_lock:
+        with self._ready:
             if not self._running:
                 return
             self._running = False
-        assert self._loop is not None and self._executor is not None
-
-        flushed = threading.Event()
-        self._loop.call_soon_threadsafe(self._flush_for_shutdown, flushed)
-        flushed.wait()
-
+            self._ready.notify_all()
         deadline = None if timeout is None else time.monotonic() + timeout
-        with self._drained:
-            while self._pending_count > 0:
-                remaining = None if deadline is None else deadline - time.monotonic()
-                if remaining is not None and remaining <= 0:
-                    raise ServiceError(
-                        f"shutdown drain timed out with {self._pending_count} "
-                        "requests still in flight"
-                    )
-                self._drained.wait(timeout=remaining)
-
-        self._executor.shutdown(wait=True)
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        assert self._loop_thread is not None
-        self._loop_thread.join()
-        self._loop = None
-        self._loop_thread = None
-        self._executor = None
+        for worker in self._workers:
+            worker.join(None if deadline is None else max(0.0, deadline - time.monotonic()))
+            if worker.is_alive():
+                raise ServiceError(
+                    f"shutdown drain timed out with {self._pending_count} "
+                    "requests still in flight"
+                )
+        self._workers = []
         logger.info("serving daemon stopped: %s", self.metrics.snapshot()["requests"])
 
-    def _flush_for_shutdown(self, flushed: threading.Event) -> None:
-        """(loop thread) Dispatch whatever the coalescer still holds."""
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-        for batch in self._coalescer.flush():
-            self._dispatch(batch)
-        flushed.set()
-
     # ------------------------------------------------------------------ #
-    # Request intake
+    # Request intake (caller threads)
     # ------------------------------------------------------------------ #
     def submit(
         self, request: PredictionRequest, top_k: int = 3
@@ -245,12 +207,20 @@ class ServingDaemon:
 
         Thread-safe.  Encoding happens synchronously on the caller's thread
         (so malformed requests raise :class:`~repro.exceptions.DataError`
-        here, not inside a shared batch); the encoded bag then rides the
-        coalescer.  Raises :class:`ServiceError` when the daemon is not
-        running or the bounded queue is full (backpressure — retry later
-        rather than queueing unbounded work).
+        here, not inside a shared batch); the encoded bag then joins the
+        queue and one idle worker is woken.  Raises :class:`ServiceError`
+        when the daemon is not running or the bounded queue is full
+        (backpressure — retry later rather than queueing unbounded work).
         """
-        with self._state_lock:
+        bag = self._service.encode_request(request)
+        item = PendingRequest(
+            request=request,
+            bag=bag,
+            top_k=top_k,
+            future=Future(),
+            enqueued_at=time.monotonic(),
+        )
+        with self._ready:
             if not self._running:
                 raise ServiceError("daemon is not running; call start() first")
             if self._pending_count >= self.config.queue_limit:
@@ -260,21 +230,9 @@ class ServingDaemon:
                     "queued or in flight); retry after the backlog drains"
                 )
             self._pending_count += 1
-        try:
-            bag = self._service.encode_request(request)
-        except Exception:
-            self._resolve(1)
-            raise
-        item = PendingRequest(
-            request=request,
-            bag=bag,
-            top_k=top_k,
-            future=Future(),
-            enqueued_at=self._clock(),
-        )
-        self.metrics.record_submitted()
-        assert self._loop is not None
-        self._loop.call_soon_threadsafe(self._admit, item)
+            self.metrics.record_submitted()
+            self._coalescer.add(item)
+            self._ready.notify()
         return item.future
 
     def predict(
@@ -286,59 +244,31 @@ class ServingDaemon:
         """Blocking convenience wrapper: submit and wait for the answer."""
         return self.submit(request, top_k=top_k).result(timeout=timeout)
 
-    def _resolve(self, count: int) -> None:
-        """Mark ``count`` requests as no longer pending (done or failed)."""
-        with self._drained:
-            self._pending_count -= count
-            if self._pending_count <= 0:
-                self._drained.notify_all()
-
-    # ------------------------------------------------------------------ #
-    # Coalescing loop (event-loop thread)
-    # ------------------------------------------------------------------ #
-    def _admit(self, item: PendingRequest) -> None:
-        batches = self._coalescer.add(item, self._clock())
-        if not self._running:
-            # A submit that won the race against close() but was admitted
-            # after the shutdown flush: dispatch immediately instead of
-            # making the drain wait out the coalescing deadline.
-            batches += self._coalescer.flush()
-        for batch in batches:
-            self._dispatch(batch)
-        self._reschedule_timer()
-
-    def _timer_fired(self) -> None:
-        self._timer = None
-        for batch in self._coalescer.pop_due(self._clock()):
-            self._dispatch(batch)
-        self._reschedule_timer()
-
-    def _reschedule_timer(self) -> None:
-        """Arm the loop timer for the coalescer's next deadline, if any."""
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-        deadline = self._coalescer.next_deadline()
-        if deadline is None:
-            return
-        assert self._loop is not None
-        delay = max(0.0, deadline - self._clock())
-        self._timer = self._loop.call_later(delay, self._timer_fired)
-
-    def _dispatch(self, batch: List[PendingRequest]) -> None:
-        """Hand one ready batch to the worker pool.
-
-        The current service reference is captured *here*: a reload between
-        dispatch and execution must not split a batch across models, and
-        batches dispatched before the swap complete on the old model.
-        """
-        service = self._service
-        assert self._executor is not None
-        self._executor.submit(self._run_batch, service, batch)
-
     # ------------------------------------------------------------------ #
     # Batch execution (worker threads)
     # ------------------------------------------------------------------ #
+    def _work(self) -> None:
+        """Take ready batches and run them until closed and drained."""
+        while True:
+            with self._ready:
+                while True:
+                    now = time.monotonic()
+                    batch = self._coalescer.take(now, draining=not self._running)
+                    if batch is not None:
+                        break
+                    if not self._running:
+                        return
+                    deadline = self._coalescer.next_deadline()
+                    self._ready.wait(None if deadline is None else deadline - now)
+                if len(self._coalescer):
+                    # Leave what remains to another idle worker.
+                    self._ready.notify()
+                # Captured with the batch: a reload never splits a batch
+                # across models, and batches taken before the swap complete
+                # on the old one.
+                service = self._service
+            self._run_batch(service, batch)
+
     def _run_batch(self, service: PredictionService, batch: List[PendingRequest]) -> None:
         try:
             probabilities = self._batch_runner(service, [item.bag for item in batch])
@@ -347,7 +277,11 @@ class ServingDaemon:
                     f"batch runner returned {len(probabilities)} rows "
                     f"for {len(batch)} requests"
                 )
-        except BaseException as error:  # noqa: BLE001 - routed to the batch's futures
+            results = [
+                service.build_result(item.request, row, item.top_k)
+                for item, row in zip(batch, probabilities)
+            ]
+        except Exception as error:  # noqa: BLE001 - routed to the batch's futures
             self.metrics.record_batch_failure(len(batch))
             for item in batch:
                 if not item.future.set_running_or_notify_cancel():
@@ -356,15 +290,17 @@ class ServingDaemon:
             self._resolve(len(batch))
             logger.warning("batch of %d requests failed: %s", len(batch), error)
             return
-        now = self._clock()
-        latencies = []
-        for item, row in zip(batch, probabilities):
-            result = service.build_result(item.request, row, item.top_k)
+        now = time.monotonic()
+        for item, result in zip(batch, results):
             if item.future.set_running_or_notify_cancel():
                 item.future.set_result(result)
-            latencies.append(now - item.enqueued_at)
-        self.metrics.record_batch(len(batch), latencies)
+        self.metrics.record_batch(len(batch), [now - item.enqueued_at for item in batch])
         self._resolve(len(batch))
+
+    def _resolve(self, count: int) -> None:
+        """Mark ``count`` requests as no longer pending (done or failed)."""
+        with self._ready:
+            self._pending_count -= count
 
     # ------------------------------------------------------------------ #
     # Hot reload + observability
@@ -373,12 +309,11 @@ class ServingDaemon:
         """Atomically swap in a fresh service from a checkpoint directory.
 
         The new :class:`PredictionService` is built on the calling thread —
-        off the event loop, so serving continues while the checkpoint loads
-        (cold start is ~tens of ms, see ``benchmarks/results/
-        serve_cold_start.txt``) — and installed with one reference
-        assignment.  Batches already dispatched finish on the old model;
-        batches dispatched afterwards (including requests already queued in
-        the coalescer) use the new one.  A failed load leaves the old
+        the workers keep serving while the checkpoint loads (cold start is
+        ~tens of ms, see ``benchmarks/results/serve_cold_start.txt``) — and
+        installed with one reference assignment.  Batches a worker already
+        took finish on the old model; batches taken afterwards (including
+        requests already queued) use the new one.  A failed load leaves the old
         service untouched.
         """
         new_service = PredictionService.from_checkpoint(
@@ -445,7 +380,7 @@ class ServingDaemon:
 
         Returns the newly adopted version id, or ``None`` when the store has
         nothing newer.  Thread-safe (the poller thread and manual callers
-        serialise on a lock); batches already dispatched finish on the old
+        serialise on a lock); batches a worker already took finish on the old
         service exactly as with a direct :meth:`reload`.
         """
         if self._version_store is None:
@@ -472,7 +407,7 @@ class ServingDaemon:
     def stats(self) -> Dict[str, object]:
         """Frozen observability snapshot: metrics plus live queue depth."""
         snapshot = self.metrics.snapshot()
-        with self._state_lock:
+        with self._ready:
             snapshot["queue"] = {
                 "pending": self._pending_count,
                 "limit": self.config.queue_limit,

@@ -5,8 +5,8 @@ itself: monotonic request/batch/error counters, a batch-occupancy histogram
 (how full the coalesced batches actually are — the "adaptive" in adaptive
 micro-batching is visible here), and a bounded-window latency reservoir with
 p50/p95/p99 quantile estimates.  All recording methods are thread-safe (the
-daemon's workers, the event loop and callers of :meth:`DaemonMetrics.snapshot`
-run on different threads), and :meth:`DaemonMetrics.snapshot` returns plain
+daemon's workers, submitting threads and callers of
+:meth:`DaemonMetrics.snapshot` run on different threads), and :meth:`DaemonMetrics.snapshot` returns plain
 copied data — never a live view — so a snapshot taken before more traffic
 arrives stays frozen.
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.nn import functional as F
+from repro.nn.recurrent import GRUCell
 from repro.nn.tensor import Tensor, default_dtype
 
 
@@ -393,6 +394,26 @@ def _concat_embedding_lookup_case(rng):
     )
 
 
+def _l2_normalize_case(rng):
+    return [rng.standard_normal((3, 4))], lambda x: F.l2_normalize(x, axis=-1)
+
+
+def _gru_cell_case(rng):
+    """One GRUCell step; every weight and bias is an input of the case."""
+    cell = GRUCell(3, 4, rng=rng)
+    names = [name for name, _ in cell.named_parameters()]
+    arrays = [rng.standard_normal((2, 3)), rng.standard_normal((2, 4))] + [
+        rng.standard_normal(param.shape) * 0.5 for _, param in cell.named_parameters()
+    ]
+
+    def step(x, h, *weights):
+        for name, weight in zip(names, weights):
+            object.__setattr__(cell, name, weight)
+        return cell(x, h)
+
+    return arrays, step
+
+
 OP_CASES = {
     "conv1d": _conv1d_case,
     "piecewise_max_pool": _piecewise_max_pool_case,
@@ -409,6 +430,8 @@ OP_CASES = {
     "weighted_softmax_sum": _weighted_softmax_sum_case,
     "linear": _linear_case,
     "concat_embedding_lookup": _concat_embedding_lookup_case,
+    "l2_normalize": _l2_normalize_case,
+    "gru_cell": _gru_cell_case,
 }
 
 #: float32 forward vs float64 forward, elementwise: float32 carries ~7

@@ -3,33 +3,43 @@
 Three layers, in increasing integration depth:
 
 * :class:`TestBatchCoalescer` drives the pure coalescer with a **fake
-  clock** — no sleeps, no threads — proving batch formation under the
-  ``max_batch_size`` / ``max_wait`` deadline exactly;
+  clock** — no sleeps, no threads — proving which batch a free worker takes
+  under the ``max_batch_size`` / ``max_wait`` rule exactly;
 * the metrics tests check the quantile math against the numpy reference and
   that snapshots are frozen copies;
-* the daemon tests run the real asyncio loop but stay deterministic through
-  two seams: a *gated* batch runner (batches block on events the test
-  releases in a chosen order — out-of-order completion, hot reload
-  mid-stream, fault injection) and per-request parity assertions that do
-  not depend on how requests happened to coalesce.
+* the daemon tests run the real worker threads but stay deterministic
+  through two seams: a *gated* batch runner (batches block on events the
+  test releases in a chosen order — dispatch while idle, coalescing behind
+  a busy worker, out-of-order completion, hot reload mid-stream, fault
+  injection) and per-request parity assertions that do not depend on how
+  requests happened to coalesce.  The soak and crash cases keep load on a
+  daemon across version swaps and a publisher killed mid-publish.
 
 Parity contract (see ``docs/daemon.md``): a daemon response is bit-equal to
 the padded-batch forward over its own coalesced batch, bit-equal to the
-direct ``PredictionService.predict`` path when the batch holds one request,
-and equal to the direct path to float64 round-off (1e-12 here, ~1e-16
-observed) under concurrent multi-request coalescing — the same
-composition-dependence the service's own chunking has.
+direct ``PredictionService.predict`` path when the batch holds one request
+(``max_batch_size=1`` guarantees it), and equal to the direct path to
+float64 round-off (1e-12 here, ~1e-16 observed) under concurrent
+multi-request coalescing — the same composition-dependence the service's
+own chunking has.
 """
 
 from __future__ import annotations
 
+import os
+import signal
+import subprocess
+import sys
+import textwrap
 import threading
 from concurrent.futures import Future
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.config import DaemonConfig
+import repro
+from repro.config import DaemonConfig, IngestConfig
 from repro.exceptions import ConfigurationError, DataError, ServiceError
 from repro.experiments.pipeline import train_and_evaluate
 from repro.serve import (
@@ -55,72 +65,82 @@ def make_item(payload: object = None, enqueued_at: float = 0.0) -> PendingReques
 class TestBatchCoalescer:
     def test_full_batch_emits_immediately(self):
         coalescer = BatchCoalescer(max_batch_size=3, max_wait_seconds=10.0)
-        assert coalescer.add(make_item("a"), now=0.0) == []
-        assert coalescer.add(make_item("b"), now=0.1) == []
-        [batch] = coalescer.add(make_item("c"), now=0.2)
+        coalescer.add(make_item("a", enqueued_at=0.0))
+        coalescer.add(make_item("b", enqueued_at=0.1))
+        assert coalescer.take(now=0.1) is None
+        coalescer.add(make_item("c", enqueued_at=0.2))
+        batch = coalescer.take(now=0.2)
         assert [item.request for item in batch] == ["a", "b", "c"]
         assert len(coalescer) == 0
         assert coalescer.next_deadline() is None
+        assert coalescer.take(now=0.2) is None
 
     def test_partial_batch_waits_for_deadline(self):
         coalescer = BatchCoalescer(max_batch_size=8, max_wait_seconds=5.0)
-        coalescer.add(make_item("a"), now=100.0)
+        coalescer.add(make_item("a", enqueued_at=100.0))
         assert coalescer.next_deadline() == 105.0
         # Not due strictly before the deadline...
-        assert coalescer.pop_due(now=104.999) == []
+        assert coalescer.take(now=104.999) is None
         assert len(coalescer) == 1
         # ... due exactly at it.
-        [batch] = coalescer.pop_due(now=105.0)
+        batch = coalescer.take(now=105.0)
         assert [item.request for item in batch] == ["a"]
         assert coalescer.next_deadline() is None
 
     def test_deadline_anchored_to_oldest_request(self):
         """Trickling arrivals must not postpone dispatch indefinitely."""
         coalescer = BatchCoalescer(max_batch_size=100, max_wait_seconds=5.0)
-        coalescer.add(make_item("old"), now=0.0)
+        coalescer.add(make_item("old", enqueued_at=0.0))
         for t in (1.0, 2.0, 3.0, 4.0):
-            assert coalescer.add(make_item(f"t{t}"), now=t) == []
+            coalescer.add(make_item(f"t{t}", enqueued_at=t))
+            assert coalescer.take(now=t) is None
         assert coalescer.next_deadline() == 5.0  # anchored to the first arrival
-        [batch] = coalescer.pop_due(now=5.0)
+        batch = coalescer.take(now=5.0)
         assert len(batch) == 5 and batch[0].request == "old"
 
-    def test_zero_wait_disables_coalescing(self):
-        coalescer = BatchCoalescer(max_batch_size=32, max_wait_seconds=0.0)
-        [batch] = coalescer.add(make_item("solo"), now=7.0)
-        assert [item.request for item in batch] == ["solo"]
-        assert len(coalescer) == 0
+    def test_zero_wait_takes_everything_waiting_up_to_the_cap(self):
+        coalescer = BatchCoalescer(max_batch_size=3, max_wait_seconds=0.0)
+        for i in range(5):
+            coalescer.add(make_item(i, enqueued_at=7.0))
+        assert [item.request for item in coalescer.take(now=7.0)] == [0, 1, 2]
+        assert [item.request for item in coalescer.take(now=7.0)] == [3, 4]
+        assert coalescer.take(now=7.0) is None
+        coalescer.add(make_item("solo", enqueued_at=8.0))
+        assert [item.request for item in coalescer.take(now=8.0)] == ["solo"]
 
     def test_deadline_emission_preserves_fifo_order(self):
         coalescer = BatchCoalescer(max_batch_size=4, max_wait_seconds=1.0)
         for i in range(3):
-            coalescer.add(make_item(i), now=float(i) * 0.1)
-        [batch] = coalescer.pop_due(now=1.0)
+            coalescer.add(make_item(i, enqueued_at=float(i) * 0.1))
+        batch = coalescer.take(now=1.0)
         assert [item.request for item in batch] == [0, 1, 2]
 
     def test_flush_drains_everything_in_chunks(self):
         coalescer = BatchCoalescer(max_batch_size=2, max_wait_seconds=60.0)
-        # Fill past one batch boundary: adds at size 2 emit, then one more.
-        leftovers = []
         for i in range(5):
-            leftovers += coalescer.add(make_item(i, enqueued_at=float(i)), now=float(i))
-        assert [len(b) for b in leftovers] == [2, 2]
-        flushed = coalescer.flush()
-        assert [[item.request for item in b] for b in flushed] == [[4]]
+            coalescer.add(make_item(i, enqueued_at=float(i)))
+        taken = [coalescer.take(now=4.0), coalescer.take(now=4.0)]
+        assert [[item.request for item in b] for b in taken] == [[0, 1], [2, 3]]
+        # The leftover partial batch is not due yet, unless draining.
+        assert coalescer.take(now=4.0) is None
+        assert [item.request for item in coalescer.take(now=4.0, draining=True)] == [4]
+        assert coalescer.take(now=4.0, draining=True) is None
         assert len(coalescer) == 0 and coalescer.next_deadline() is None
 
     def test_consecutive_full_batches(self):
         coalescer = BatchCoalescer(max_batch_size=2, max_wait_seconds=60.0)
-        batches = []
         for i in range(6):
-            batches += coalescer.add(make_item(i), now=0.0)
+            coalescer.add(make_item(i, enqueued_at=0.0))
+        batches = [coalescer.take(now=0.0) for _ in range(3)]
         assert [[item.request for item in b] for b in batches] == [[0, 1], [2, 3], [4, 5]]
+        assert coalescer.take(now=0.0) is None
 
     def test_deadline_resets_after_emission(self):
         coalescer = BatchCoalescer(max_batch_size=8, max_wait_seconds=5.0)
-        coalescer.add(make_item("a"), now=0.0)
-        coalescer.pop_due(now=5.0)
+        coalescer.add(make_item("a", enqueued_at=0.0))
+        coalescer.take(now=5.0)
         # A fresh arrival starts a fresh deadline window.
-        coalescer.add(make_item("b"), now=30.0)
+        coalescer.add(make_item("b", enqueued_at=30.0))
         assert coalescer.next_deadline() == 35.0
 
     def test_invalid_configuration_rejected(self):
@@ -317,6 +337,30 @@ def services(nyt_context):
     return build
 
 
+@pytest.fixture()
+def publishers(nyt_context, tmp_path):
+    """A version store plus a closure publishing servable checkpoints."""
+    from repro.ingest import ArtifactVersionStore
+    from repro.ingest.versions import CHECKPOINT_MEMBER
+
+    store = ArtifactVersionStore(tmp_path / "versions")
+
+    def publish(method_name: str):
+        method, _ = train_and_evaluate(nyt_context, method_name)
+
+        def write(stage):
+            method.model.save(
+                stage / CHECKPOINT_MEMBER,
+                encoder=nyt_context.bag_encoder,
+                schema=nyt_context.bundle.schema,
+                kb=nyt_context.bundle.kb,
+            )
+
+        return store.publish(write, metadata={"method": method_name})
+
+    return store, publish
+
+
 # --------------------------------------------------------------------- #
 # Daemon: parity under concurrent load, for every model variant
 # --------------------------------------------------------------------- #
@@ -427,6 +471,71 @@ class TestDaemonParity:
 
 
 # --------------------------------------------------------------------- #
+# Daemon: the dispatch rule (a free worker takes whatever is waiting)
+# --------------------------------------------------------------------- #
+class TestDispatchRule:
+    def test_zero_wait_dispatches_a_lone_request_while_idle(self, services, nyt_context):
+        """No deadline to wait out: an idle worker runs a batch of one at once."""
+        service = services("pa_tmr")
+        [request] = requests_from_context(nyt_context, 1)
+        runner = GatedRunner()
+        config = DaemonConfig(max_batch_size=32, max_wait_ms=0.0, num_workers=1)
+        with ServingDaemon(service, config=config, batch_runner=runner) as daemon:
+            future = daemon.submit(request)
+            runner.wait_for_batch(0)
+            assert len(runner.batches[0][1]) == 1
+            runner.release(0)
+            result = future.result(timeout=30.0)
+        np.testing.assert_array_equal(
+            result.probabilities, service.predict(request).probabilities
+        )
+
+    def test_requests_behind_a_busy_worker_form_the_next_batch(
+        self, services, nyt_context
+    ):
+        """Arrivals during a computing batch coalesce, capped at max_batch_size."""
+        service = services("pa_tmr")
+        requests = requests_from_context(nyt_context, 7)
+        runner = GatedRunner()
+        config = DaemonConfig(max_batch_size=4, max_wait_ms=0.0, num_workers=1)
+        with ServingDaemon(service, config=config, batch_runner=runner) as daemon:
+            first = daemon.submit(requests[0])
+            runner.wait_for_batch(0)          # the only worker is now held
+            queued = [daemon.submit(request) for request in requests[1:]]
+            assert daemon.stats()["queue"]["pending"] == 7
+            runner.release_all()
+            results = [first.result(timeout=30.0)] + [
+                future.result(timeout=30.0) for future in queued
+            ]
+            stats = daemon.stats()
+
+        assert [len(bags) for _, bags in runner.batches] == [1, 4, 2]
+        assert stats["batch_occupancy"]["counts"] == {1: 1, 4: 1, 2: 1}
+        for request, result in zip(requests, results):
+            assert (result.head, result.tail) == (request.head, request.tail)
+            np.testing.assert_allclose(
+                result.probabilities, service.predict(request).probabilities, atol=1e-12
+            )
+
+    def test_batch_size_one_is_bit_equal_under_concurrent_submits(
+        self, services, nyt_context
+    ):
+        """max_batch_size=1 keeps every answer occupancy-1, even with a backlog."""
+        service = services("pa_tmr")
+        requests = requests_from_context(nyt_context, 12)
+        config = DaemonConfig(max_batch_size=1, num_workers=2)
+        with ServingDaemon(service, config=config) as daemon:
+            futures = [daemon.submit(request) for request in requests]
+            results = [future.result(timeout=30.0) for future in futures]
+            stats = daemon.stats()
+        assert stats["batch_occupancy"]["counts"] == {1: len(requests)}
+        for request, result in zip(requests, results):
+            np.testing.assert_array_equal(
+                result.probabilities, service.predict(request).probabilities
+            )
+
+
+# --------------------------------------------------------------------- #
 # Daemon: hot checkpoint reload
 # --------------------------------------------------------------------- #
 class TestHotReload:
@@ -525,29 +634,6 @@ class TestHotReload:
 # Daemon: version-store watching (streaming ingest pickup)
 # --------------------------------------------------------------------- #
 class TestVersionWatch:
-    @pytest.fixture()
-    def publishers(self, nyt_context, tmp_path):
-        """A version store plus a closure publishing servable checkpoints."""
-        from repro.ingest import ArtifactVersionStore
-        from repro.ingest.versions import CHECKPOINT_MEMBER
-
-        store = ArtifactVersionStore(tmp_path / "versions")
-
-        def publish(method_name: str):
-            method, _ = train_and_evaluate(nyt_context, method_name)
-
-            def write(stage):
-                method.model.save(
-                    stage / CHECKPOINT_MEMBER,
-                    encoder=nyt_context.bag_encoder,
-                    schema=nyt_context.bundle.schema,
-                    kb=nyt_context.bundle.kb,
-                )
-
-            return store.publish(write, metadata={"method": method_name})
-
-        return store, publish
-
     def test_version_pickup_mid_stream(self, nyt_context, publishers):
         """A published version is adopted without restart or dropped requests.
 
@@ -739,6 +825,139 @@ class TestFaultPaths:
             daemon.start()
         daemon.close()
         daemon.close()  # no-op, not an error
+
+
+# --------------------------------------------------------------------- #
+# Daemon: soak across version swaps, and a publisher killed mid-publish
+# --------------------------------------------------------------------- #
+_KILLED_PUBLISHER = textwrap.dedent(
+    """
+    import os, signal, sys
+
+    from repro.ingest import ArtifactVersionStore
+
+
+    def write(stage):
+        (stage / "checkpoint").mkdir()
+        (stage / "checkpoint" / "weights.bin").write_bytes(b"half a checkpoint")
+        os.kill(os.getpid(), signal.SIGKILL)  # staged, never renamed
+
+
+    ArtifactVersionStore(sys.argv[1]).publish(write)
+    """
+)
+
+
+class TestSoakAndCrash:
+    SWAPS = 6
+    REQUESTS_PER_SWAP = 20
+
+    def test_load_across_version_swaps_with_pruning(self, nyt_context, publishers):
+        """Every accepted request resolves while versions swap and get pruned.
+
+        More workers than cores and a short thread switch interval make the
+        workers interleave on the shared queue as often as possible; a lost
+        update to it would leave a future unresolved or the counts unequal.
+        """
+        store, publish = publishers
+        keep_versions = IngestConfig().keep_versions
+        first = publish("pa_tmr")
+        requests = requests_from_context(nyt_context, 16)
+        config = DaemonConfig(
+            max_batch_size=8, queue_limit=32, num_workers=(os.cpu_count() or 1) + 1
+        )
+        accepted = []
+        progress = threading.Condition()
+        stop = threading.Event()
+
+        def submitter():
+            index = 0
+            while not stop.is_set():
+                try:
+                    future = daemon.submit(requests[index % len(requests)])
+                except ServiceError:
+                    # Backpressure: let the backlog drain, then go on.
+                    accepted[-1].result(timeout=30.0)
+                    continue
+                with progress:
+                    accepted.append(future)
+                    progress.notify_all()
+                index += 1
+
+        def wait_for_accepted(count):
+            with progress:
+                assert progress.wait_for(lambda: len(accepted) >= count, timeout=30.0)
+
+        daemon = ServingDaemon(
+            PredictionService.from_checkpoint(first.checkpoint_path), config=config
+        )
+        versions = []
+        switch_interval = sys.getswitchinterval()
+        with daemon:
+            daemon.watch(store, poll_interval=None)
+            thread = threading.Thread(target=submitter)
+            thread.start()
+            try:
+                sys.setswitchinterval(1e-5)
+                for swap in range(self.SWAPS):
+                    wait_for_accepted((swap + 1) * self.REQUESTS_PER_SWAP)
+                    info = publish(("pcnn_att", "pa_tmr")[swap % 2])
+                    store.prune(keep_versions)
+                    assert daemon.check_for_update() == info.version
+                    versions.append(info.version)
+                wait_for_accepted((self.SWAPS + 1) * self.REQUESTS_PER_SWAP)
+            finally:
+                stop.set()
+                thread.join(timeout=30.0)
+                sys.setswitchinterval(switch_interval)
+            assert not thread.is_alive()
+            for index, future in enumerate(accepted):
+                result = future.result(timeout=30.0)
+                request = requests[index % len(requests)]
+                assert (result.head, result.tail) == (request.head, request.tail)
+        stats = daemon.stats()
+
+        assert stats["reloads"] == self.SWAPS
+        assert stats["version"] == versions[-1]
+        assert stats["requests"]["failed"] == 0
+        assert stats["requests"]["submitted"] == stats["requests"]["completed"] == len(accepted)
+        assert stats["queue"]["pending"] == 0
+        assert [info.version for info in store.list_versions()] == versions[-keep_versions:]
+
+    def test_publisher_killed_before_rename_keeps_the_old_version(
+        self, nyt_context, publishers
+    ):
+        """A SIGKILL between staging and rename leaves CURRENT and the daemon alone."""
+        store, publish = publishers
+        first = publish("pa_tmr")
+        service = PredictionService.from_checkpoint(first.checkpoint_path)
+        [request] = requests_from_context(nyt_context, 1)
+        expected = service.predict(request).probabilities
+        with ServingDaemon(service) as daemon:
+            daemon.watch(store, poll_interval=None)
+            np.testing.assert_array_equal(
+                daemon.predict(request, timeout=30.0).probabilities, expected
+            )
+
+            src = str(Path(repro.__file__).resolve().parents[1])
+            child = subprocess.Popen(
+                [sys.executable, "-c", _KILLED_PUBLISHER, str(store.root)],
+                env={**os.environ, "PYTHONPATH": src},
+            )
+            assert child.wait(timeout=60.0) == -signal.SIGKILL
+            staged = store.root / f".staging-v{first.version + 1:06d}-{child.pid}"
+            assert (staged / "checkpoint" / "weights.bin").exists()
+
+            assert store.current().version == first.version
+            assert daemon.check_for_update() is None
+            np.testing.assert_array_equal(
+                daemon.predict(request, timeout=30.0).probabilities, expected
+            )
+            assert daemon.stats()["reloads"] == 0
+
+        assert store.prune(keep_last=1) == 0
+        assert not staged.exists()
+        assert [info.version for info in store.list_versions()] == [first.version]
 
 
 # --------------------------------------------------------------------- #
